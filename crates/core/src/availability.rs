@@ -8,6 +8,8 @@
 //! availability `P(M)` decays to 0 as the file scales; growing `k` with `M`
 //! holds it up — the quantitative argument the scheme rests on.
 
+use crate::convert::to_index;
+
 /// Probability that a single group of `d` data + `k` parity buckets
 /// survives, with per-bucket availability `p`.
 pub fn group_availability(d: usize, k: usize, p: f64) -> f64 {
@@ -17,9 +19,15 @@ pub fn group_availability(d: usize, k: usize, p: f64) -> f64 {
     // Σ_{f=0..k} C(n, f) q^f p^(n-f)
     let mut sum = 0.0;
     for f in 0..=k.min(n) {
-        sum += binomial(n, f) * q.powi(f as i32) * p.powi((n - f) as i32);
+        sum += binomial(n, f) * q.powi(exponent(f)) * p.powi(exponent(n - f));
     }
     sum.min(1.0)
+}
+
+/// A `powi` exponent, saturating: a probability below 1 raised to `i32::MAX`
+/// is already 0.
+fn exponent<T: TryInto<i32>>(n: T) -> i32 {
+    n.try_into().unwrap_or(i32::MAX)
 }
 
 /// Probability that an entire file of `m_buckets` data buckets, group size
@@ -42,9 +50,9 @@ pub fn file_availability(m_buckets: u64, m: usize, k: usize, p: f64) -> f64 {
     if m_buckets == 0 {
         return 1.0;
     }
-    let full_groups = (m_buckets as usize) / m;
-    let rest = (m_buckets as usize) % m;
-    let mut avail = group_availability(m, k, p).powi(full_groups as i32);
+    let full_groups = to_index(m_buckets) / m;
+    let rest = to_index(m_buckets) % m;
+    let mut avail = group_availability(m, k, p).powi(exponent(full_groups));
     if rest > 0 {
         avail *= group_availability(rest, k, p);
     }
@@ -53,14 +61,14 @@ pub fn file_availability(m_buckets: u64, m: usize, k: usize, p: f64) -> f64 {
 
 /// Availability of a plain LH\* file (no parity): every bucket must be up.
 pub fn lh_star_availability(m_buckets: u64, p: f64) -> f64 {
-    p.powi(m_buckets as i32)
+    p.powi(exponent(m_buckets))
 }
 
 /// Availability of an LH\*m (mirrored) file: each bucket and its mirror
 /// form a pair that survives unless both fail.
 pub fn mirrored_availability(m_buckets: u64, p: f64) -> f64 {
     let q = 1.0 - p;
-    (1.0 - q * q).powi(m_buckets as i32)
+    (1.0 - q * q).powi(exponent(m_buckets))
 }
 
 /// The smallest `k` that keeps the file availability at or above `target`

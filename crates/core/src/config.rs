@@ -254,7 +254,11 @@ impl Config {
                 "retry_backoff_cap_us must be at least client_timeout_us".into(),
             ));
         }
-        if !self.scale_thresholds.windows(2).all(|w| w[0] < w[1]) {
+        if !self
+            .scale_thresholds
+            .windows(2)
+            .all(|w| matches!(w, [a, b] if a < b))
+        {
             return Err(crate::Error::InvalidConfig(
                 "scale_thresholds must be strictly increasing".into(),
             ));
@@ -520,7 +524,11 @@ impl ConfigBuilder {
         if cfg.record_len == 0 || cfg.record_len > MAX_RECORD_LEN {
             return Err(ConfigError::RecordLen(cfg.record_len));
         }
-        if !cfg.scale_thresholds.windows(2).all(|w| w[0] < w[1]) {
+        if !cfg
+            .scale_thresholds
+            .windows(2)
+            .all(|w| matches!(w, [a, b] if a < b))
+        {
             return Err(ConfigError::Thresholds);
         }
         match cfg.validate() {

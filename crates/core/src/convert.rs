@@ -1,9 +1,11 @@
 //! Checked integer narrowing for the actor hot paths.
 //!
-//! The panic-freedom lint bans bare `as` narrowing in hot-path modules: a
+//! Clippy's `cast_possible_truncation` is denied crate-wide: a
 //! truncated bucket number or shard index silently addresses the *wrong*
 //! bucket, which is worse than a crash. These helpers make the conversion
 //! policy explicit at the call site.
+
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
 
 /// Narrow a `u64` to `usize` for indexing, saturating on (32-bit-target)
 /// overflow. Saturation composes with `.get(...)`: an absurd value indexes

@@ -1120,9 +1120,10 @@ impl Coordinator {
         self.col_floors.insert(target, final_seq);
         let m = self.m() as u64;
         let mut reg = self.shared.registry.borrow_mut();
-        let ex_node = reg.pop_data();
-        env.send(ex_node, Msg::Retire);
-        self.pool.push(ex_node);
+        if let Some(ex_node) = reg.pop_data() {
+            env.send(ex_node, Msg::Retire);
+            self.pool.push(ex_node);
+        }
         // If the removed bucket was the sole member of the last group, the
         // group's (now record-free) parity buckets are decommissioned too.
         if target % m == 0 {

@@ -269,7 +269,10 @@ impl DataBucket {
         if self.store.is_none() {
             return false;
         }
-        let state = storage::encode_data_snapshot(self.bucket, &self.content());
+        let state = storage::encode_snapshot(&storage::Snapshot::Data {
+            bucket: self.bucket,
+            content: self.content(),
+        });
         let ok = match self.store.as_mut() {
             Some(store) => store.snapshot(&state).is_ok(),
             None => false,

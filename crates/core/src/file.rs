@@ -11,6 +11,7 @@ use lhrs_obs::{Clock, Metrics};
 use lhrs_sim::{NetStats, NodeId, Sim};
 
 use crate::code::AnyCode;
+use crate::convert::to_index;
 
 use crate::client::Client;
 use crate::coordinator::{CoordEvent, Coordinator};
@@ -102,11 +103,13 @@ impl LhrsFile {
                 })
             })
             .collect();
-        let coordinator = ids[0];
-        let client = ids[1];
-        let bucket0 = ids[2];
-        let parity: Vec<NodeId> = ids[3..3 + k].to_vec();
-        let pool: Vec<NodeId> = ids[3 + k..].iter().rev().copied().collect();
+        // `Config::validate` sized the pool for these roles.
+        let &[coordinator, client, bucket0, ref rest @ ..] = ids.as_slice() else {
+            return Err(Error::PoolExhausted);
+        };
+        let (parity, pool) = rest.split_at_checked(k).ok_or(Error::PoolExhausted)?;
+        let parity = parity.to_vec();
+        let pool: Vec<NodeId> = pool.iter().rev().copied().collect();
 
         {
             let mut reg = shared.registry.borrow_mut();
@@ -121,10 +124,9 @@ impl LhrsFile {
         sim.replace(client, Node::Client(Client::new(shared.clone())));
         sim.replace(bucket0, Node::Data(DataBucket::new(shared.clone(), 0, 0)));
         for (q, node) in parity.iter().enumerate() {
-            sim.replace(
-                *node,
-                Node::Parity(ParityBucket::new(shared.clone(), 0, q, k)),
-            );
+            let p = ParityBucket::new(shared.clone(), 0, q, k)
+                .map_err(|e| Error::InvalidConfig(e.to_string()))?;
+            sim.replace(*node, Node::Parity(p));
         }
         Ok(LhrsFile {
             sim,
@@ -209,7 +211,7 @@ impl LhrsFile {
         &mut self,
         items: impl IntoIterator<Item = (Key, Vec<u8>)>,
     ) -> Result<usize, Error> {
-        let client = self.clients[0];
+        let client = self.client_node(0);
         let mut ids = Vec::new();
         for (key, payload) in items {
             self.check_payload(&payload)?;
@@ -260,7 +262,7 @@ impl LhrsFile {
         let mut count = 0usize;
         for (i, (key, payload)) in items.into_iter().enumerate() {
             self.check_payload(&payload)?;
-            let node = self.clients[i % n_clients];
+            let node = self.client_node(i % n_clients);
             let op_id = self.next_op;
             self.next_op += 1;
             self.sim.send_external(
@@ -275,7 +277,7 @@ impl LhrsFile {
         self.sim.run_until_idle();
         let mut ok = 0usize;
         for c in 0..n_clients {
-            let node = self.clients[c];
+            let node = self.client_node(c);
             let client = self.sim.actor_mut(node).as_client_mut();
             client.settle_optimistic();
             for (_, result) in client.take_results() {
@@ -357,7 +359,7 @@ impl LhrsFile {
 
     /// Availability level of group `g`.
     pub fn group_k(&self, g: u64) -> usize {
-        self.coord().group_k[g as usize]
+        self.coord().group_k.get(to_index(g)).copied().unwrap_or(0)
     }
 
     /// Current file-wide availability level.
@@ -399,7 +401,7 @@ impl LhrsFile {
     /// IAMs received by a client (image-convergence metric).
     pub fn client_iams(&self, client: ClientId) -> u64 {
         self.sim
-            .actor(self.clients[client])
+            .actor(self.client_node(client))
             .as_client()
             .iams_received
     }
@@ -407,7 +409,7 @@ impl LhrsFile {
     /// The image `(n', i')` a client currently holds.
     pub fn client_image(&self, client: ClientId) -> (u64, u8) {
         self.sim
-            .actor(self.clients[client])
+            .actor(self.client_node(client))
             .as_client()
             .image
             .parts()
@@ -487,8 +489,24 @@ impl LhrsFile {
 
     /// The simulator node currently carrying parity bucket `index` of
     /// `group`.
+    ///
+    /// # Panics
+    /// Panics if the group has no such parity bucket.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic on a parity bucket the file lacks"
+    )]
     pub fn parity_node_id(&self, group: u64, index: usize) -> NodeId {
         self.shared.registry.borrow().parity_nodes(group)[index]
+    }
+
+    /// The simulator node of client `c`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a ClientId is minted only by `new`/`add_client`"
+    )]
+    fn client_node(&self, c: ClientId) -> NodeId {
+        self.clients[c]
     }
 
     /// Crash the node carrying data bucket `bucket`.
@@ -504,7 +522,7 @@ impl LhrsFile {
     /// undecodable and the bucket must give itself up to the full RS
     /// rebuild rather than resume below the certified watermark.
     pub fn corrupt_parity_history(&mut self, group: u64, index: usize, col: usize) {
-        let node = self.shared.registry.borrow().parity_nodes(group)[index];
+        let node = self.parity_node_id(group, index);
         self.sim
             .actor_mut(node)
             .as_parity_mut()
@@ -513,7 +531,7 @@ impl LhrsFile {
 
     /// Crash parity bucket `index` of `group`.
     pub fn crash_parity_bucket(&mut self, group: u64, index: usize) {
-        let node = self.shared.registry.borrow().parity_nodes(group)[index];
+        let node = self.parity_node_id(group, index);
         self.sim.crash(node);
         self.crashed_log
             .push((node, CrashedShard::Parity(group, index)));
@@ -562,16 +580,27 @@ impl LhrsFile {
     /// # Panics
     /// Panics if no such crash was injected.
     pub fn restart_data_bucket(&mut self, bucket: u64) -> bool {
-        let pos = self
-            .crashed_log
-            .iter()
-            .position(|(_, s)| *s == CrashedShard::Data(bucket))
-            .expect("no crashed node recorded for this bucket");
-        let (node, _) = self.crashed_log.remove(pos);
+        let (pos, node) = self.crashed_data(bucket);
+        self.crashed_log.remove(pos);
         self.sim.restart(node);
         self.sim.send_external(node, Msg::SelfReport);
         self.sim.run_until_idle();
         self.shared.registry.borrow().data_node(bucket) == node && !self.sim.actor(node).is_blank()
+    }
+
+    /// Position in the crash log, and node, of the crash injected while
+    /// the node carried `bucket`.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic when no such crash was injected"
+    )]
+    fn crashed_data(&self, bucket: u64) -> (usize, NodeId) {
+        self.crashed_log
+            .iter()
+            .enumerate()
+            .find(|(_, (_, s))| *s == CrashedShard::Data(bucket))
+            .map(|(pos, (node, _))| (pos, *node))
+            .expect("no crashed node recorded for this bucket")
     }
 
     // ----- durable-store drills -----
@@ -638,12 +667,7 @@ impl LhrsFile {
     /// # Panics
     /// Panics if no such crash was injected.
     pub fn restart_data_bucket_from_store(&mut self, bucket: u64) -> Result<bool, StoreError> {
-        let pos = self
-            .crashed_log
-            .iter()
-            .position(|(_, s)| *s == CrashedShard::Data(bucket))
-            .expect("no crashed node recorded for this bucket");
-        let (node, _) = self.crashed_log[pos];
+        let (pos, node) = self.crashed_data(bucket);
         let store = self
             .shared
             .make_store(node, &StoreId::Data { bucket })
@@ -672,7 +696,7 @@ impl LhrsFile {
         self.sim
             .send_external(self.coordinator, Msg::CheckGroup { group });
         self.sim.run_until_idle();
-        let events = &self.coord().events[events_before..];
+        let events = self.coord().events.get(events_before..).unwrap_or(&[]);
         let mut report = RecoveryReport {
             failed_shards: Vec::new(),
             recovered: false,
@@ -781,13 +805,15 @@ impl LhrsFile {
                         state.level_of(*b)
                     ));
                 }
-                let col = (b % m as u64) as usize;
+                let col = to_index(b % m as u64);
                 for (rank, key, payload) in bucket.iter() {
                     if state.address(key) != *b {
                         return Err(format!("record {key} misplaced in bucket {b}"));
                     }
-                    members.entry(rank).or_insert_with(|| vec![None; m])[col] =
-                        Some((key, payload.to_vec()));
+                    let row = members.entry(rank).or_insert_with(|| vec![None; m]);
+                    if let Some(slot) = row.get_mut(col) {
+                        *slot = Some((key, payload.to_vec()));
+                    }
                 }
             }
 
@@ -808,14 +834,13 @@ impl LhrsFile {
                         ));
                     };
                     // Keys must match exactly.
-                    for (c, slot) in row.iter().enumerate() {
-                        let expect = slot.as_ref().map(|(k, _)| *k);
-                        if rec.keys[c] != expect {
-                            return Err(format!(
-                                "group {g} parity {q} rank {rank} col {c}: keys {:?} != {:?}",
-                                rec.keys[c], expect
-                            ));
-                        }
+                    let want: Vec<Option<Key>> =
+                        row.iter().map(|s| s.as_ref().map(|(k, _)| *k)).collect();
+                    if rec.keys != want {
+                        return Err(format!(
+                            "group {g} parity {q} rank {rank}: keys {:?} != {want:?}",
+                            rec.keys
+                        ));
                     }
                     // Parity cell must equal the RS encoding.
                     let cells: Vec<Vec<u8>> = row
@@ -827,7 +852,7 @@ impl LhrsFile {
                         .collect();
                     let refs: Vec<&[u8]> = cells.iter().map(|c| c.as_slice()).collect();
                     let expect = code.encode(&refs).map_err(|e| e.to_string())?;
-                    if rec.cell != expect[q] {
+                    if expect.get(q) != Some(&rec.cell) {
                         return Err(format!(
                             "group {g} parity {q} rank {rank}: parity cell mismatch"
                         ));
@@ -871,7 +896,8 @@ impl LhrsFile {
         out.extend_from_slice(&(records.len() as u64).to_le_bytes());
         for (key, payload) in &records {
             out.extend_from_slice(&key.to_le_bytes());
-            out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
+            out.extend_from_slice(&len.to_le_bytes());
             out.extend_from_slice(payload);
         }
         out
@@ -887,27 +913,20 @@ impl LhrsFile {
     /// [`LhrsFile::insert_batch`] can return.
     pub fn import_snapshot(cfg: Config, bytes: &[u8]) -> Result<Self, Error> {
         let malformed = || Error::InvalidConfig("malformed snapshot".into());
-        if bytes.len() < 13 || &bytes[..5] != b"LHRS1" {
-            return Err(malformed());
+        let rest = bytes.strip_prefix(b"LHRS1").ok_or_else(malformed)?;
+        let (count, mut rest) = rest.split_first_chunk::<8>().ok_or_else(malformed)?;
+        // Every record costs at least 12 bytes, so a count the buffer cannot
+        // hold fails in the loop before it can drive an allocation.
+        let mut records = Vec::new();
+        for _ in 0..u64::from_le_bytes(*count) {
+            let (key, tail) = rest.split_first_chunk::<8>().ok_or_else(malformed)?;
+            let (len, tail) = tail.split_first_chunk::<4>().ok_or_else(malformed)?;
+            let len = usize::try_from(u32::from_le_bytes(*len)).map_err(|_| malformed())?;
+            let (payload, tail) = tail.split_at_checked(len).ok_or_else(malformed)?;
+            records.push((u64::from_le_bytes(*key), payload.to_vec()));
+            rest = tail;
         }
-        let count = u64::from_le_bytes(bytes[5..13].try_into().expect("8 bytes")) as usize;
-        let mut records = Vec::with_capacity(count);
-        let mut at = 13usize;
-        for _ in 0..count {
-            if at + 12 > bytes.len() {
-                return Err(malformed());
-            }
-            let key = u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-            let len =
-                u32::from_le_bytes(bytes[at + 8..at + 12].try_into().expect("4 bytes")) as usize;
-            at += 12;
-            if at + len > bytes.len() {
-                return Err(malformed());
-            }
-            records.push((key, bytes[at..at + len].to_vec()));
-            at += len;
-        }
-        if at != bytes.len() {
+        if !rest.is_empty() {
             return Err(malformed());
         }
         let mut file = LhrsFile::new(cfg)?;

@@ -53,6 +53,19 @@
 //! | `msg` | the wire protocol and per-kind accounting labels |
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod api;

@@ -116,7 +116,7 @@ impl ReqKind {
         }
     }
 
-    fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             ReqKind::Insert(..) => "insert",
             ReqKind::Lookup(..) => "lookup",
@@ -624,52 +624,9 @@ pub enum Msg {
 }
 
 impl lhrs_sim::Payload for Msg {
+    /// Generated with the codec, one label per variant (`crate::wire`).
     fn kind(&self) -> &'static str {
-        match self {
-            Msg::Do { .. } => "app-do",
-            Msg::Req { kind, .. } => kind.label(),
-            Msg::Reply { .. } => "reply",
-            Msg::Scan { .. } => "scan",
-            Msg::ScanReply { .. } => "scan-reply",
-            Msg::ParityDelta { .. } => "parity-delta",
-            Msg::ParityBatch { .. } => "parity-batch",
-            Msg::ParityAck { .. } => "parity-ack",
-            Msg::ReportOverflow { .. } => "overflow",
-            Msg::InitData { .. } => "init-data",
-            Msg::InitParity { .. } => "init-parity",
-            Msg::DoSplit { .. } => "split",
-            Msg::SplitLoad { .. } => "split-load",
-            Msg::Suspect { .. } => "suspect",
-            Msg::Probe { .. } => "probe",
-            Msg::ProbeAck { .. } => "probe-ack",
-            Msg::TransferShard { .. } => "transfer-req",
-            Msg::ShardData { .. } => "transfer-data",
-            Msg::Install { .. } => "install",
-            Msg::InstallAck { .. } => "install-ack",
-            Msg::FindRecord { .. } => "find-record",
-            Msg::FindRecordReply { .. } => "find-record-reply",
-            Msg::ReadCell { .. } => "read-cell",
-            Msg::CellData { .. } => "cell-data",
-            Msg::SplitDone { .. } => "split-done",
-            Msg::ForceMerge => "force-merge",
-            Msg::DoMerge { .. } => "merge",
-            Msg::MergeLoad { .. } => "merge-load",
-            Msg::MergeDone { .. } => "merge-done",
-            Msg::Retire => "retire",
-            Msg::SelfReport => "self-report",
-            Msg::CheckOwnership { .. } => "check-ownership",
-            Msg::OwnershipAck => "ownership-ack",
-            Msg::RestartReport { .. } => "restart-report",
-            Msg::SuffixPull { .. } => "suffix-pull",
-            Msg::DeltaSuffix { .. } => "delta-suffix",
-            Msg::SuffixInfo { .. } => "suffix-info",
-            Msg::RestartAbort { .. } => "restart-abort",
-            Msg::ResumeWrites { .. } => "resume-writes",
-            Msg::CheckGroup { .. } => "check-group",
-            Msg::RecoverFileState => "recover-file-state",
-            Msg::StateQuery => "state-query",
-            Msg::StateReply { .. } => "state-reply",
-        }
+        Msg::kind(self)
     }
 
     fn size_bytes(&self) -> usize {

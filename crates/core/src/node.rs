@@ -12,10 +12,11 @@ use crate::registry::SharedHandle;
 use crate::storage::StoreId;
 
 /// A node of the LH\*RS multicomputer.
-// A Node is heap-allocated once per hosted actor, never moved in bulk;
-// the variant size spread (DataBucket's in-memory records dominate) is
-// not worth an indirection on every dispatch.
-#[allow(clippy::large_enum_variant)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "a Node is allocated once per hosted actor and never moved in bulk; \
+              an indirection on every dispatch is not worth the size spread"
+)]
 pub enum Node {
     /// Unallocated pool node / hot spare. Buffers any early messages (a
     /// race possible only under extreme latency models) and replays them
@@ -37,6 +38,12 @@ pub enum Node {
     Coordinator(Box<Coordinator>),
 }
 
+/// Role accessors for the simulation harness: each panics when the node
+/// has another role.
+#[expect(
+    clippy::panic,
+    reason = "a role mismatch is a harness bug, documented to panic"
+)]
 impl Node {
     /// Access the client state (panics otherwise) — driver convenience.
     pub fn as_client(&self) -> &Client {
@@ -101,7 +108,9 @@ impl Node {
             _ => panic!("node is not a parity bucket"),
         }
     }
+}
 
+impl Node {
     /// Whether the node is still an unallocated blank.
     pub fn is_blank(&self) -> bool {
         matches!(self, Node::Blank { .. })
@@ -128,7 +137,11 @@ impl Node {
                 Some(Node::Data(d))
             }
             Msg::InitParity { group, index, k } => {
-                let mut p = ParityBucket::new(shared.clone(), group, index, k);
+                let Ok(mut p) = ParityBucket::new(shared.clone(), group, index, k) else {
+                    // The field cannot carry this column: stay a spare.
+                    env.obs().incr("invariant_violations");
+                    return None;
+                };
                 Node::attach_parity_store(shared, env.me(), &mut p);
                 Some(Node::Parity(p))
             }
@@ -140,16 +153,20 @@ impl Node {
                 content,
                 token,
             } => {
-                let node = match content {
-                    ShardContent::Data {
-                        level,
-                        next_rank,
-                        delta_seq,
-                        records,
-                    } => {
+                let node = match (content, bucket, index) {
+                    (
+                        ShardContent::Data {
+                            level,
+                            next_rank,
+                            delta_seq,
+                            records,
+                        },
+                        Some(bucket),
+                        _,
+                    ) => {
                         let mut d = DataBucket::from_content(
                             shared.clone(),
-                            bucket.expect("data install carries a bucket number"),
+                            bucket,
                             level,
                             next_rank,
                             delta_seq,
@@ -163,17 +180,26 @@ impl Node {
                         d.expel_misplaced(env);
                         Node::Data(d)
                     }
-                    ShardContent::Parity { records, col_seqs } => {
-                        let mut p = ParityBucket::from_content(
+                    (ShardContent::Parity { records, col_seqs }, _, Some(index)) => {
+                        let Ok(mut p) = ParityBucket::from_content(
                             shared.clone(),
                             group,
-                            index.expect("parity install carries an index"),
+                            index,
                             k,
                             records,
                             col_seqs,
-                        );
+                        ) else {
+                            env.obs().incr("invariant_violations");
+                            return None;
+                        };
                         Node::attach_parity_store(shared, env.me(), &mut p);
                         Node::Parity(p)
+                    }
+                    // A data install without its bucket number or a parity
+                    // install without its column: stay a spare, unacked.
+                    _ => {
+                        env.obs().incr("invariant_violations");
+                        return None;
                     }
                 };
                 env.send(from, Msg::InstallAck { token });

@@ -3,6 +3,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
+use lhrs_rs::RsError;
 use lhrs_sim::{Env, NodeId};
 
 use crate::msg::{DeltaEntry, KeyOp, Msg, ShardContent};
@@ -66,12 +67,13 @@ pub struct ParityBucket {
 }
 
 impl ParityBucket {
-    /// Create an empty parity bucket.
-    pub fn new(shared: SharedHandle, group: u64, index: usize, k: usize) -> Self {
+    /// Create an empty parity bucket. Fails when the field cannot carry a
+    /// code of this group size with parity column `index` (a wire-decoded
+    /// `InitParity`/`Install` can ask for one).
+    pub fn new(shared: SharedHandle, group: u64, index: usize, k: usize) -> Result<Self, RsError> {
         let m = shared.cfg.group_size;
-        let code = crate::code::AnyCode::new(shared.cfg.field, m, k.max(index + 1))
-            .expect("validated by Config");
-        ParityBucket {
+        let code = crate::code::AnyCode::new(shared.cfg.field, m, k.max(index.saturating_add(1)))?;
+        Ok(ParityBucket {
             shared,
             group,
             index,
@@ -82,7 +84,7 @@ impl ParityBucket {
             key_index: HashMap::new(),
             history: vec![VecDeque::new(); m],
             store: None,
-        }
+        })
     }
 
     /// Restore from recovered content. `col_seqs` resumes each column's
@@ -95,18 +97,20 @@ impl ParityBucket {
         k: usize,
         records: Vec<(Rank, Vec<Option<Key>>, Vec<u8>)>,
         col_seqs: Vec<u64>,
-    ) -> Self {
-        let mut p = ParityBucket::new(shared, group, index, k);
+    ) -> Result<Self, RsError> {
+        let mut p = ParityBucket::new(shared, group, index, k)?;
         for (chan, seq) in p.channels.iter_mut().zip(col_seqs) {
             chan.next_seq = seq;
         }
-        for (rank, keys, cell) in records {
+        let m = p.channels.len();
+        for (rank, mut keys, cell) in records {
+            keys.resize(m, None);
             for key in keys.iter().flatten() {
                 p.key_index.insert(*key, rank);
             }
             p.records.insert(rank, ParityRecord { keys, cell });
         }
-        p
+        Ok(p)
     }
 
     /// Number of parity records held.
@@ -190,8 +194,12 @@ impl ParityBucket {
         if self.store.is_none() {
             return false;
         }
-        let state =
-            storage::encode_parity_snapshot(self.group, self.index, self.k, &self.content());
+        let state = storage::encode_snapshot(&storage::Snapshot::Parity {
+            group: self.group,
+            index: self.index,
+            k: self.k,
+            content: self.content(),
+        });
         let ok = match self.store.as_mut() {
             Some(store) => store.snapshot(&state).is_ok(),
             None => false,
@@ -275,7 +283,7 @@ impl ParityBucket {
     /// came *from* the log); history is maintained so a restarted parity
     /// bucket can still serve suffixes over its replayed window.
     pub(crate) fn replay_entry(&mut self, entry: DeltaEntry) {
-        for ready in self.admit(entry) {
+        for ready in self.admit(entry).unwrap_or_default() {
             self.remember(ready.clone());
             self.apply(ready);
         }
@@ -290,22 +298,7 @@ impl ParityBucket {
                 ack_to,
             } => {
                 debug_assert_eq!(group, self.group);
-                if !self.sender_owns_column(from, entry.col) {
-                    return;
-                }
-                let col = entry.col;
-                let mut applied = 0u64;
-                for ready in self.admit(entry) {
-                    self.log_delta(env, &ready);
-                    self.remember(ready.clone());
-                    self.apply(ready);
-                    applied += 1;
-                }
-                env.obs().add("deltas_applied", applied);
-                if let Some(ack) = ack_to {
-                    let upto = self.channels[col].next_seq;
-                    env.send(ack, Msg::ParityAck { col, upto });
-                }
+                self.commit_deltas(env, from, std::iter::once(entry), ack_to);
             }
             Msg::ParityBatch {
                 group,
@@ -313,36 +306,16 @@ impl ParityBucket {
                 ack_to,
             } => {
                 debug_assert_eq!(group, self.group);
-                let mut cols = std::collections::BTreeSet::new();
-                let mut applied = 0u64;
-                for entry in entries {
-                    if !self.sender_owns_column(from, entry.col) {
-                        continue;
-                    }
-                    cols.insert(entry.col);
-                    for ready in self.admit(entry) {
-                        self.log_delta(env, &ready);
-                        self.remember(ready.clone());
-                        self.apply(ready);
-                        applied += 1;
-                    }
-                }
-                env.obs().add("deltas_applied", applied);
-                if let Some(ack) = ack_to {
-                    for col in cols {
-                        let upto = self.channels[col].next_seq;
-                        env.send(ack, Msg::ParityAck { col, upto });
-                    }
-                }
+                self.commit_deltas(env, from, entries, ack_to);
             }
             Msg::FindRecord { key, token } => {
                 // O(1) via the internal key index (§4.1); the index and the
                 // key lists are maintained together, which the debug
                 // assertion cross-checks.
-                let found = self.key_index.get(&key).map(|rank| {
-                    let rec = &self.records[rank];
+                let found = self.key_index.get(&key).and_then(|rank| {
+                    let rec = self.records.get(rank)?;
                     debug_assert!(rec.keys.contains(&Some(key)), "index out of sync");
-                    (*rank, rec.keys.clone())
+                    Some((*rank, rec.keys.clone()))
                 });
                 env.send(from, Msg::FindRecordReply { token, found });
             }
@@ -364,7 +337,7 @@ impl ParityBucket {
                 target,
             } => {
                 debug_assert_eq!(group, self.group);
-                let next = self.channels.get(col).map(|c| c.next_seq).unwrap_or(0);
+                let next = self.next_seq(col).unwrap_or(0);
                 // The history deque for a column is contiguous and ends at
                 // `next`, so the suffix [from_seq, next) is servable iff its
                 // filtered view starts exactly at `from_seq`.
@@ -465,6 +438,46 @@ impl ParityBucket {
         }
     }
 
+    /// Admit, log and apply a run of Δs from `from`, then ack each column
+    /// touched. A Δ from a node that does not own its column is ignored; one
+    /// for a column past the group is dropped and counted.
+    fn commit_deltas(
+        &mut self,
+        env: &mut Env<'_, Msg>,
+        from: NodeId,
+        entries: impl IntoIterator<Item = DeltaEntry>,
+        ack_to: Option<NodeId>,
+    ) {
+        let mut cols = std::collections::BTreeSet::new();
+        let mut applied = 0u64;
+        for entry in entries {
+            if !self.sender_owns_column(from, entry.col) {
+                continue;
+            }
+            let col = entry.col;
+            let Some(ready) = self.admit(entry) else {
+                env.obs().incr("deltas_dropped");
+                continue;
+            };
+            cols.insert(col);
+            for ready in ready {
+                self.log_delta(env, &ready);
+                self.remember(ready.clone());
+                self.apply(ready);
+                applied += 1;
+            }
+        }
+        env.obs().add("deltas_applied", applied);
+        let Some(ack) = ack_to else {
+            return;
+        };
+        for col in cols {
+            if let Some(upto) = self.next_seq(col) {
+                env.send(ack, Msg::ParityAck { col, upto });
+            }
+        }
+    }
+
     /// Fencing check: a Δ for column `col` is honoured only when it comes
     /// from the node the registry currently maps to that bucket. A node
     /// displaced by group recovery (failed or merely partitioned) keeps
@@ -477,19 +490,27 @@ impl ParityBucket {
         let m = self.shared.cfg.group_size as u64;
         let bucket = self.group * m + col as u64;
         let reg = self.shared.registry.borrow();
-        if bucket as usize >= reg.data_count() {
+        if crate::convert::to_index(bucket) >= reg.data_count() {
             return true;
         }
         reg.data_node(bucket) == from
     }
 
+    /// The next Δ sequence number column `col` expects (`None` past the
+    /// group's columns).
+    fn next_seq(&self, col: usize) -> Option<u64> {
+        self.channels.get(col).map(|c| c.next_seq)
+    }
+
     /// Admission control for one Δ: returns the entries now ready to apply,
     /// in stream order. A duplicate (seq already applied) yields nothing; a
     /// future Δ is buffered until the gap fills; the expected Δ is returned
-    /// together with any buffered successors it unblocks.
-    fn admit(&mut self, entry: DeltaEntry) -> Vec<DeltaEntry> {
-        let chan = &mut self.channels[entry.col];
-        match entry.seq.cmp(&chan.next_seq) {
+    /// together with any buffered successors it unblocks. A column past the
+    /// group's `group_size` columns names no data bucket: `None`, the
+    /// caller drops the Δ.
+    fn admit(&mut self, entry: DeltaEntry) -> Option<Vec<DeltaEntry>> {
+        let chan = self.channels.get_mut(entry.col)?;
+        Some(match entry.seq.cmp(&chan.next_seq) {
             std::cmp::Ordering::Less => Vec::new(), // duplicate: drop
             std::cmp::Ordering::Greater => {
                 chan.buffered.insert(entry.seq, entry);
@@ -497,14 +518,14 @@ impl ParityBucket {
             }
             std::cmp::Ordering::Equal => {
                 let mut ready = vec![entry];
-                chan.next_seq += 1;
+                chan.next_seq = chan.next_seq.saturating_add(1);
                 while let Some(e) = chan.buffered.remove(&chan.next_seq) {
-                    chan.next_seq += 1;
+                    chan.next_seq = chan.next_seq.saturating_add(1);
                     ready.push(e);
                 }
                 ready
             }
-        }
+        })
     }
 
     /// Fold one Δ into the parity record at `entry.rank`:
@@ -519,19 +540,24 @@ impl ParityBucket {
                 keys: vec![None; m],
                 cell: vec![0u8; cell_len],
             });
+        // `admit` bounds `col` by `group_size`, and every record holds
+        // `group_size` key slots (`from_content` normalises installed ones).
+        let Some(slot) = rec.keys.get_mut(entry.col) else {
+            return;
+        };
         match entry.key_op {
             KeyOp::Add(key) => {
-                debug_assert!(rec.keys[entry.col].is_none(), "column already occupied");
-                rec.keys[entry.col] = Some(key);
+                debug_assert!(slot.is_none(), "column already occupied");
+                *slot = Some(key);
                 self.key_index.insert(key, entry.rank);
             }
             KeyOp::Remove(key) => {
-                debug_assert_eq!(rec.keys[entry.col], Some(key), "removing wrong member");
-                rec.keys[entry.col] = None;
+                debug_assert_eq!(*slot, Some(key), "removing wrong member");
+                *slot = None;
                 self.key_index.remove(&key);
             }
             KeyOp::Keep => {
-                debug_assert!(rec.keys[entry.col].is_some(), "update of absent member");
+                debug_assert!(slot.is_some(), "update of absent member");
             }
         }
         self.code
@@ -556,7 +582,13 @@ mod tests {
             record_len: 8,
             ..Config::default()
         };
-        ParityBucket::new(Shared::new(cfg), 0, 0, 1)
+        ParityBucket::new(Shared::new(cfg), 0, 0, 1).unwrap()
+    }
+
+    impl ParityBucket {
+        fn admit_all(&mut self, entry: DeltaEntry) -> Vec<DeltaEntry> {
+            self.admit(entry).unwrap()
+        }
     }
 
     fn delta(seq: u64, col: usize, key: u64, cell_len: usize) -> DeltaEntry {
@@ -575,38 +607,38 @@ mod tests {
         let cl = p.shared.cfg.cell_len();
 
         // In-order Δ applies immediately.
-        let ready = p.admit(delta(0, 0, 10, cl));
+        let ready = p.admit_all(delta(0, 0, 10, cl));
         assert_eq!(ready.len(), 1);
         assert_eq!(p.channels[0].next_seq, 1);
 
         // Duplicate of an already-applied Δ is dropped.
-        assert!(p.admit(delta(0, 0, 10, cl)).is_empty());
+        assert!(p.admit_all(delta(0, 0, 10, cl)).is_empty());
         assert_eq!(p.channels[0].next_seq, 1);
 
         // A future Δ is buffered, not applied.
-        assert!(p.admit(delta(3, 0, 13, cl)).is_empty());
-        assert!(p.admit(delta(2, 0, 12, cl)).is_empty());
+        assert!(p.admit_all(delta(3, 0, 13, cl)).is_empty());
+        assert!(p.admit_all(delta(2, 0, 12, cl)).is_empty());
         assert_eq!(p.channels[0].next_seq, 1);
 
         // Filling the gap releases the whole contiguous run, in order.
-        let ready = p.admit(delta(1, 0, 11, cl));
+        let ready = p.admit_all(delta(1, 0, 11, cl));
         let seqs: Vec<u64> = ready.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![1, 2, 3]);
         assert_eq!(p.channels[0].next_seq, 4);
         assert!(p.channels[0].buffered.is_empty());
 
         // A duplicate of a buffered-then-applied Δ is also dropped.
-        assert!(p.admit(delta(2, 0, 12, cl)).is_empty());
+        assert!(p.admit_all(delta(2, 0, 12, cl)).is_empty());
     }
 
     #[test]
     fn admit_channels_are_independent_per_column() {
         let mut p = bucket();
         let cl = p.shared.cfg.cell_len();
-        assert_eq!(p.admit(delta(0, 0, 1, cl)).len(), 1);
+        assert_eq!(p.admit_all(delta(0, 0, 1, cl)).len(), 1);
         // Column 1 starts at seq 0 regardless of column 0's progress.
-        assert!(p.admit(delta(1, 1, 2, cl)).is_empty());
-        assert_eq!(p.admit(delta(0, 1, 3, cl)).len(), 2);
+        assert!(p.admit_all(delta(1, 1, 2, cl)).is_empty());
+        assert_eq!(p.admit_all(delta(0, 1, 3, cl)).len(), 2);
         assert_eq!(p.channels[0].next_seq, 1);
         assert_eq!(p.channels[1].next_seq, 2);
     }
@@ -615,11 +647,12 @@ mod tests {
     fn from_content_resumes_streams() {
         let p0 = bucket();
         let shared = p0.shared.clone();
-        let mut p = ParityBucket::from_content(shared, 0, 0, 1, Vec::new(), vec![5, 0, 2, 0]);
+        let mut p =
+            ParityBucket::from_content(shared, 0, 0, 1, Vec::new(), vec![5, 0, 2, 0]).unwrap();
         let cl = p.shared.cfg.cell_len();
         // Δs below the restored watermark are recognised as duplicates.
-        assert!(p.admit(delta(4, 0, 9, cl)).is_empty());
-        assert_eq!(p.admit(delta(5, 0, 9, cl)).len(), 1);
-        assert_eq!(p.admit(delta(2, 2, 9, cl)).len(), 1);
+        assert!(p.admit_all(delta(4, 0, 9, cl)).is_empty());
+        assert_eq!(p.admit_all(delta(5, 0, 9, cl)).len(), 1);
+        assert_eq!(p.admit_all(delta(2, 2, 9, cl)).len(), 1);
     }
 }

@@ -36,9 +36,11 @@ pub struct Record {
 /// sizes before they reach this point.
 pub fn encode_cell(payload: &[u8], cell_len: usize) -> Vec<u8> {
     assert!(payload.len() + 4 <= cell_len, "payload exceeds cell");
-    let mut cell = vec![0u8; cell_len];
-    cell[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    cell[4..4 + payload.len()].copy_from_slice(payload);
+    let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
+    let mut cell = Vec::with_capacity(cell_len);
+    cell.extend_from_slice(&len.to_le_bytes());
+    cell.extend_from_slice(payload);
+    cell.resize(cell_len, 0);
     cell
 }
 
@@ -47,14 +49,9 @@ pub fn encode_cell(payload: &[u8], cell_len: usize) -> Vec<u8> {
 /// Returns `None` if the cell is malformed (length prefix beyond the cell),
 /// which after a correct RS decode indicates corruption.
 pub fn decode_cell(cell: &[u8]) -> Option<Vec<u8>> {
-    if cell.len() < 4 {
-        return None;
-    }
-    let len = u32::from_le_bytes(cell[..4].try_into().ok()?) as usize;
-    if 4 + len > cell.len() {
-        return None;
-    }
-    Some(cell[4..4 + len].to_vec())
+    let (len, rest) = cell.split_first_chunk::<4>()?;
+    let len = usize::try_from(u32::from_le_bytes(*len)).ok()?;
+    rest.get(..len).map(<[u8]>::to_vec)
 }
 
 /// Whether a cell is all zeroes — the encoding of "no record at this rank".

@@ -16,6 +16,7 @@ use std::rc::Rc;
 
 use lhrs_sim::NodeId;
 
+use crate::convert::to_index;
 use crate::Config;
 
 /// Shared state every node holds a handle to: the allocation table plus the
@@ -61,8 +62,12 @@ impl Registry {
     /// # Panics
     /// Panics if the bucket does not exist — addressing logic must never
     /// produce a bucket number beyond the file.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic: addressing never yields a bucket past the file"
+    )]
     pub fn data_node(&self, b: u64) -> NodeId {
-        self.data[b as usize]
+        self.data[to_index(b)]
     }
 
     /// Node carrying data bucket `b`, or `None` when the table has no such
@@ -70,7 +75,7 @@ impl Registry {
     /// race a stale table (a networked host whose registry snapshot lags the
     /// coordinator); the caller drops the message and relies on retries.
     pub fn try_data_node(&self, b: u64) -> Option<NodeId> {
-        self.data.get(b as usize).copied()
+        self.data.get(to_index(b)).copied()
     }
 
     /// Number of data buckets (`M`).
@@ -80,18 +85,22 @@ impl Registry {
 
     /// Register the next data bucket (must be appended densely).
     pub fn push_data(&mut self, bucket: u64, node: NodeId) {
-        assert_eq!(bucket as usize, self.data.len(), "buckets append densely");
+        assert_eq!(to_index(bucket), self.data.len(), "buckets append densely");
         self.data.push(node);
     }
 
-    /// Redirect data bucket `b` to a new node (recovery onto a spare).
+    /// Redirect data bucket `b` to a new node (recovery onto a spare); a
+    /// bucket past the file is ignored.
     pub fn move_data(&mut self, b: u64, node: NodeId) {
-        self.data[b as usize] = node;
+        if let Some(slot) = self.data.get_mut(to_index(b)) {
+            *slot = node;
+        }
     }
 
-    /// Remove the last data bucket (merge); returns its ex-node.
-    pub fn pop_data(&mut self) -> NodeId {
-        self.data.pop().expect("cannot shrink an empty file")
+    /// Remove the last data bucket (merge); returns its ex-node (`None`
+    /// for an empty table).
+    pub fn pop_data(&mut self) -> Option<NodeId> {
+        self.data.pop()
     }
 
     /// Drop the last group's (empty) parity mapping, returning its nodes
@@ -104,7 +113,7 @@ impl Registry {
     /// parity yet).
     pub fn parity_nodes(&self, g: u64) -> &[NodeId] {
         self.parity
-            .get(g as usize)
+            .get(to_index(g))
             .map(|v| v.as_slice())
             .unwrap_or(&[])
     }
@@ -121,16 +130,21 @@ impl Registry {
 
     /// Set (or extend) the parity nodes of group `g`.
     pub fn set_parity(&mut self, g: u64, nodes: Vec<NodeId>) {
-        let g = g as usize;
+        let g = to_index(g);
         if self.parity.len() <= g {
-            self.parity.resize(g + 1, Vec::new());
+            self.parity.resize(g.saturating_add(1), Vec::new());
         }
-        self.parity[g] = nodes;
+        if let Some(slot) = self.parity.get_mut(g) {
+            *slot = nodes;
+        }
     }
 
-    /// Redirect parity column `q` of group `g` to a new node.
+    /// Redirect parity column `q` of group `g` to a new node; a column the
+    /// table lacks is ignored.
     pub fn move_parity(&mut self, g: u64, q: usize, node: NodeId) {
-        self.parity[g as usize][q] = node;
+        if let Some(slot) = self.parity.get_mut(to_index(g)).and_then(|c| c.get_mut(q)) {
+            *slot = node;
+        }
     }
 
     /// All live node ids of the file (data then parity), for scans and

@@ -43,6 +43,20 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
 #![warn(missing_docs)]
 
 mod image;
@@ -72,7 +86,7 @@ pub fn h(l: u8, n0: u64, key: u64) -> u64 {
         // Shift amount < 64 here, so wrapping_shl is exact.
         1u64.wrapping_shl(u32::from(l)).saturating_mul(n0)
     };
-    key % span.max(1)
+    key.checked_rem(span).unwrap_or(0)
 }
 
 /// A fast 64-bit mixing function (SplitMix64 finaliser) for clients whose

@@ -17,6 +17,20 @@
 //! Operation ids are derived from the wall clock so repeated invocations
 //! against the same cluster never collide in the servers' replay caches.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 use std::collections::HashMap;
 use std::process::exit;
 use std::sync::mpsc;
@@ -79,9 +93,9 @@ fn main() {
     }
     let Some(config) = config else { usage() };
     let Some(node) = node else { usage() };
-    if rest.is_empty() {
+    let Some(cmd) = rest.first().cloned() else {
         usage();
-    }
+    };
 
     let text = std::fs::read_to_string(&config)
         .unwrap_or_else(|e| fail(&format!("cannot read {config}: {e}")));
@@ -95,7 +109,7 @@ fn main() {
 
     // `stats` is a raw request/response frame exchange — no hosted client
     // node, no registry sync, works even while the cluster is mid-recovery.
-    if rest[0] == "stats" {
+    if cmd == "stats" {
         let target: u32 = match rest.get(1) {
             Some(s) => s.parse().unwrap_or_else(|_| usage()),
             None => 0,
@@ -167,7 +181,7 @@ fn main() {
     // the client node id, so replay caches never confuse two runs.
     let base = SystemTime::now()
         .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
+        .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
         .unwrap_or(1)
         .max(1);
     let mut client = NetClient::new(host, node, base);
@@ -186,7 +200,7 @@ fn main() {
             .and_then(|s| s.parse().ok())
             .unwrap_or_else(|| usage())
     };
-    match rest[0].as_str() {
+    match cmd.as_str() {
         "insert" => {
             let key = arg_n(1);
             let value = rest

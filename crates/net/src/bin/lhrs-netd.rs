@@ -31,6 +31,20 @@
 //! pre-kill timeline survives even a SIGKILL during a failure drill; a
 //! final dump is written on clean shutdown.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::PathBuf;

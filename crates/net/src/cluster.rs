@@ -77,13 +77,14 @@ impl ClusterSpec {
             }
             let mut parts = line.split_whitespace();
             let err = |what: &str| format!("line {}: {what}: {line:?}", lineno + 1);
-            match parts.next() {
-                Some("config") => {
+            // Blank lines were skipped above, so the directive is present.
+            match parts.next().unwrap_or_default() {
+                "config" => {
                     let key = parts.next().ok_or_else(|| err("missing config key"))?;
                     let val = parts.next().ok_or_else(|| err("missing config value"))?;
                     apply_config(&mut cfg, key, val).map_err(|e| err(&e))?;
                 }
-                Some("node") => {
+                "node" => {
                     let id: u32 = parts
                         .next()
                         .and_then(|s| s.parse().ok())
@@ -101,8 +102,7 @@ impl ClusterSpec {
                         role,
                     });
                 }
-                Some(other) => return Err(err(&format!("unknown directive {other:?}"))),
-                None => unreachable!("blank lines skipped above"),
+                other => return Err(err(&format!("unknown directive {other:?}"))),
             }
         }
         cfg.node_pool = nodes.iter().filter(|n| n.role == Role::Server).count() + 2;
@@ -195,12 +195,17 @@ impl ClusterSpec {
     /// The initial placement, mirroring the simulator's `LhrsFile::new`:
     /// `(bucket0, parity nodes of group 0, spare pool in hand-out order)`.
     pub fn layout(&self) -> (NodeId, Vec<NodeId>, Vec<NodeId>) {
-        let servers = self.server_ids();
-        let k = self.cfg.initial_k;
-        let bucket0 = NodeId(servers[0]);
-        let parity: Vec<NodeId> = servers[1..1 + k].iter().map(|&i| NodeId(i)).collect();
-        let pool: Vec<NodeId> = servers[1 + k..].iter().rev().map(|&i| NodeId(i)).collect();
-        (bucket0, parity, pool)
+        let servers: Vec<NodeId> = self.server_ids().into_iter().map(NodeId).collect();
+        // `validate` guarantees bucket 0 plus `initial_k` parity servers.
+        let (bucket0, rest) = servers
+            .split_first()
+            .map_or((lhrs_sim::EXTERNAL, &[][..]), |(b, rest)| (*b, rest));
+        let (parity, pool) = rest.split_at(self.cfg.initial_k.min(rest.len()));
+        (
+            bucket0,
+            parity.to_vec(),
+            pool.iter().rev().copied().collect(),
+        )
     }
 
     /// Build this process's shared handle with the initial allocation
@@ -221,17 +226,22 @@ impl ClusterSpec {
     pub fn build_node(&self, shared: &SharedHandle, id: u32) -> Node {
         let (bucket0, parity, pool) = self.layout();
         let k = self.cfg.initial_k;
-        let spec = &self.nodes[id as usize];
-        match spec.role {
-            Role::Coordinator => {
+        match self.nodes.get(id as usize).map(|n| n.role) {
+            Some(Role::Coordinator) => {
                 Node::Coordinator(Box::new(Coordinator::new(shared.clone(), pool)))
             }
-            Role::Client => Node::Client(Client::new(shared.clone())),
-            Role::Server => {
+            Some(Role::Client) => Node::Client(Client::new(shared.clone())),
+            _ => {
                 if NodeId(id) == bucket0 {
                     Node::Data(DataBucket::new(shared.clone(), 0, 0))
-                } else if let Some(q) = parity.iter().position(|n| *n == NodeId(id)) {
-                    Node::Parity(ParityBucket::new(shared.clone(), 0, q, k))
+                } else if let Some(p) = parity
+                    .iter()
+                    .position(|n| *n == NodeId(id))
+                    .and_then(|q| ParityBucket::new(shared.clone(), 0, q, k).ok())
+                {
+                    // `Config::validate` admits the initial k, so a parity
+                    // node always builds; anything else starts as a spare.
+                    Node::Parity(p)
                 } else {
                     Node::Blank {
                         shared: shared.clone(),
@@ -247,9 +257,9 @@ impl ClusterSpec {
         self.nodes.iter().map(|n| (n.id, n.addr.clone())).collect()
     }
 
-    /// The address of node `id`.
+    /// The address of node `id` (empty for an id the spec lacks).
     pub fn addr_of(&self, id: u32) -> &str {
-        &self.nodes[id as usize].addr
+        self.nodes.get(id as usize).map_or("", |n| n.addr.as_str())
     }
 }
 

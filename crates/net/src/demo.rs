@@ -90,11 +90,10 @@ fn demo_spec() -> Result<ClusterSpec, String> {
         coord_retries: 20,
         ..Config::default()
     };
-    let nodes = ports
-        .iter()
-        .enumerate()
+    let nodes = (0u32..)
+        .zip(&ports)
         .map(|(id, port)| NodeSpec {
-            id: id as u32,
+            id,
             addr: format!("127.0.0.1:{port}"),
             role: match id {
                 0 => Role::Coordinator,
@@ -109,8 +108,9 @@ fn demo_spec() -> Result<ClusterSpec, String> {
 }
 
 fn spawn_netd(cmds: &DemoCommands, config: &Path, id: u32) -> Result<Child, String> {
-    let mut cmd = Command::new(&cmds.netd[0]);
-    cmd.args(&cmds.netd[1..])
+    let (prog, args) = cmds.netd.split_first().ok_or("empty netd command")?;
+    let mut cmd = Command::new(prog);
+    cmd.args(args)
         .arg("--config")
         .arg(config)
         .arg("--nodes")
@@ -121,8 +121,9 @@ fn spawn_netd(cmds: &DemoCommands, config: &Path, id: u32) -> Result<Child, Stri
 }
 
 fn run_cli(cmds: &DemoCommands, config: &Path, args: &[&str]) -> Result<String, String> {
-    let mut cmd = Command::new(&cmds.netcli[0]);
-    cmd.args(&cmds.netcli[1..])
+    let (prog, prefix) = cmds.netcli.split_first().ok_or("empty netcli command")?;
+    let mut cmd = Command::new(prog);
+    cmd.args(prefix)
         .arg("--config")
         .arg(config)
         .arg("--node")

@@ -5,6 +5,8 @@
 //! allocation-table snapshot; [`FrameType::RegistryPull`] is an empty
 //! control frame asking the authoritative host for the current table.
 
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
+
 use std::io::{self, Read, Write};
 
 use lhrs_core::wire::{put_varint, Reader, WireError};
@@ -75,8 +77,8 @@ pub struct Frame {
 
 /// Serialize a frame into a write-ready byte string.
 pub fn encode_frame(ftype: FrameType, from: NodeId, to: NodeId, payload: &[u8]) -> Vec<u8> {
-    let body_len = 10 + payload.len(); // version + type + from + to + payload
-    let mut out = Vec::with_capacity(4 + body_len);
+    let body_len = payload.len().saturating_add(10); // version + type + from + to + payload
+    let mut out = Vec::with_capacity(body_len.saturating_add(4));
     // Saturate instead of truncating: an absurd payload produces a frame
     // the receiver's MAX_FRAME check rejects, never a desynced stream.
     let wire_len = u32::try_from(body_len).unwrap_or(u32::MAX);
@@ -109,7 +111,7 @@ pub fn read_frame(stream: &mut impl Read) -> io::Result<Option<Frame>> {
                 "EOF inside frame header",
             ));
         }
-        got += n;
+        got = got.saturating_add(n);
     }
     let len = u32::from_le_bytes(len_buf);
     if !(10..=MAX_FRAME).contains(&len) {
@@ -187,13 +189,13 @@ impl FrameAccumulator {
         let len = usize::try_from(len).map_err(|_| {
             io::Error::new(io::ErrorKind::InvalidData, "frame length overflows usize")
         })?;
-        let Some(body) = avail.get(4..4 + len) else {
+        let Some(body) = avail.get(4..).and_then(|b| b.get(..len)) else {
             return Ok(None); // body not fully buffered yet
         };
         let frame = decode_frame_body(body)?;
-        self.consumed += 4 + len;
+        self.consumed = self.consumed.saturating_add(len).saturating_add(4);
         // Compact once the dead prefix dominates, amortising the memmove.
-        if self.consumed > 4096 && self.consumed * 2 >= self.buf.len() {
+        if self.consumed > 4096 && self.consumed.saturating_mul(2) >= self.buf.len() {
             self.buf.drain(..self.consumed);
             self.consumed = 0;
         }
@@ -264,7 +266,7 @@ pub struct RegistryUpdate {
 impl RegistryUpdate {
     /// Encode the snapshot (the [`FrameType::Registry`] payload).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + 4 * self.data.len());
+        let mut out = Vec::with_capacity(self.data.len().saturating_mul(4).saturating_add(16));
         put_varint(&mut out, self.version);
         out.extend_from_slice(&self.coordinator.0.to_le_bytes());
         put_varint(&mut out, self.data.len() as u64);

@@ -17,7 +17,7 @@ use lhrs_core::msg::{DeltaEntry, Msg};
 use lhrs_core::node::Node;
 use lhrs_core::registry::SharedHandle;
 use lhrs_obs::{Event as ObsEvent, Metrics};
-use lhrs_sim::{Actor, Effect, Env, NodeId, Payload, TimerId};
+use lhrs_sim::{Actor, Effect, Env, NodeId, TimerId};
 
 use crate::frame::RegistryUpdate;
 use crate::transport::{HostEvent, Transport};
@@ -184,7 +184,7 @@ impl<T: Transport> NodeHost<T> {
 
     /// Microseconds since host start — the `Env::now` clock.
     pub fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
+        u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
 
     /// Ask the authoritative host (node `to`) for the current allocation

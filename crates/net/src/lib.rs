@@ -30,6 +30,19 @@
 //! apply only strictly newer versions.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod client;

@@ -127,6 +127,10 @@ impl<M: Payload, A: Actor<M>> Sim<M, A> {
 
     /// Add a node running `actor`; returns its id (dense, in creation
     /// order).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a node table of 2^32 actors cannot fit in memory"
+    )]
     pub fn add_node(&mut self, actor: A) -> NodeId {
         let id = NodeId(self.actors.len() as u32);
         self.actors.push(Some(actor));
@@ -180,6 +184,7 @@ impl<M: Payload, A: Actor<M>> Sim<M, A> {
     /// silently dropped (and counted in [`NetStats::dropped`]) until
     /// [`Sim::restart`]. Actor state is retained, modelling a transient
     /// outage; use [`Sim::replace`] to model state loss onto a hot spare.
+    #[expect(clippy::indexing_slicing, reason = "checked_index asserted the bound")]
     pub fn crash(&mut self, node: NodeId) {
         let idx = self.checked_index(node, "crash");
         self.crashed[idx] = true;
@@ -187,18 +192,21 @@ impl<M: Payload, A: Actor<M>> Sim<M, A> {
 
     /// Bring a crashed node back with its state intact (the paper's
     /// "restarted with correct data" self-detection case).
+    #[expect(clippy::indexing_slicing, reason = "checked_index asserted the bound")]
     pub fn restart(&mut self, node: NodeId) {
         let idx = self.checked_index(node, "restart");
         self.crashed[idx] = false;
     }
 
     /// Whether the node is currently crashed.
+    #[expect(clippy::indexing_slicing, reason = "checked_index asserted the bound")]
     pub fn is_crashed(&self, node: NodeId) -> bool {
         self.crashed[self.checked_index(node, "is_crashed")]
     }
 
     /// Replace the actor on `node` (e.g. re-provisioning a hot spare) and
     /// un-crash it.
+    #[expect(clippy::indexing_slicing, reason = "checked_index asserted the bound")]
     pub fn replace(&mut self, node: NodeId, actor: A) {
         let idx = self.checked_index(node, "replace");
         self.actors[idx] = Some(actor);
@@ -206,12 +214,22 @@ impl<M: Payload, A: Actor<M>> Sim<M, A> {
     }
 
     /// Immutable access to a node's actor (panics on unknown node).
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        reason = "panicking on an unknown node is this accessor's documented contract"
+    )]
     pub fn actor(&self, node: NodeId) -> &A {
         let idx = self.checked_index(node, "actor");
         self.actors[idx].as_ref().expect("actor present")
     }
 
     /// Mutable access to a node's actor (panics on unknown node).
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        reason = "panicking on an unknown node is this accessor's documented contract"
+    )]
     pub fn actor_mut(&mut self, node: NodeId) -> &mut A {
         let idx = self.checked_index(node, "actor_mut");
         self.actors[idx].as_mut().expect("actor present")
@@ -252,9 +270,12 @@ impl<M: Payload, A: Actor<M>> Sim<M, A> {
         debug_assert!(ev.time >= self.now, "time must be monotone");
         self.now = ev.time;
         let idx = ev.node.0 as usize;
+        // Events for a node outside the table are dropped like a crashed
+        // node's (`enqueue_*` only targets known nodes).
+        let crashed = self.crashed.get(idx).copied().unwrap_or(true);
         match ev.kind {
             EventKind::Deliver { from, msg } => {
-                if self.crashed[idx] {
+                if crashed {
                     self.stats.record_drop();
                     return true;
                 }
@@ -264,16 +285,19 @@ impl<M: Payload, A: Actor<M>> Sim<M, A> {
                 // same-channel message arriving exactly at `node_free_at`
                 // overtake it (same event time, smaller seq), breaking the
                 // per-channel FIFO guarantee.
-                if self.latency.service_us > 0 && self.node_free_at[idx] > ev.time {
+                let Some(free_at) = self.node_free_at.get_mut(idx) else {
+                    return true;
+                };
+                if self.latency.service_us > 0 && *free_at > ev.time {
                     self.queue.push(Reverse(Event {
-                        time: self.node_free_at[idx],
+                        time: *free_at,
                         seq: ev.seq,
                         node: ev.node,
                         kind: EventKind::Deliver { from, msg },
                     }));
                     return true;
                 }
-                self.node_free_at[idx] = ev.time + self.latency.service_us;
+                *free_at = ev.time + self.latency.service_us;
                 self.metrics.incr_kind("msgs_recv", msg.kind());
                 if self.metrics.msg_trace() {
                     self.metrics.trace(
@@ -296,7 +320,7 @@ impl<M: Payload, A: Actor<M>> Sim<M, A> {
                 if self.cancelled_timers.remove(&id.0) {
                     return true;
                 }
-                if self.crashed[idx] {
+                if crashed {
                     return true;
                 }
                 self.dispatch(ev.node, |actor, env| actor.on_timer(env, id));
@@ -333,8 +357,13 @@ impl<M: Payload, A: Actor<M>> Sim<M, A> {
     /// back, then apply the buffered effects. The take/put dance is what
     /// lets handlers send messages without aliasing the engine.
     fn dispatch(&mut self, node: NodeId, f: impl FnOnce(&mut A, &mut Env<'_, M>)) {
-        let idx = node.0 as usize;
-        let mut actor = self.actors[idx].take().expect("actor present");
+        let Some(slot) = self.actors.get_mut(node.0 as usize) else {
+            return;
+        };
+        // Absent only while its own handler runs, which never re-enters.
+        let Some(mut actor) = slot.take() else {
+            return;
+        };
         let mut effects = Vec::new();
         {
             let mut env = Env {
@@ -346,7 +375,9 @@ impl<M: Payload, A: Actor<M>> Sim<M, A> {
             };
             f(&mut actor, &mut env);
         }
-        self.actors[idx] = Some(actor);
+        if let Some(slot) = self.actors.get_mut(node.0 as usize) {
+            *slot = Some(actor);
+        }
         for eff in effects {
             match eff {
                 Effect::Send { to, msg } => self.enqueue_send(node, to, msg),

@@ -1,107 +1,34 @@
-//! CLI for the LH\*RS protocol-invariant lints.
+//! CLI for the LH\*RS project checks.
 //!
 //! ```text
-//! cargo run -p lhrs-xtask -- lint              # exit 1 on unallowed findings
-//! cargo run -p lhrs-xtask -- lint --verbose    # also show justified allows
-//! cargo run -p lhrs-xtask -- lint --json       # machine-readable findings
-//! cargo run -p lhrs-xtask -- lint --fix-allow  # emit a TODO allowlist
-//! cargo run -p lhrs-xtask -- lint --root DIR   # lint another tree
+//! cargo run -p lhrs-xtask -- lint    # exit 1 on any finding
 //! ```
 
 #![forbid(unsafe_code)]
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-use lhrs_xtask::{find_workspace_root, findings_to_json, fix_allow_report, run_all};
-
-const USAGE: &str = "usage: lhrs-xtask lint [--fix-allow] [--verbose] [--json] [--root DIR]";
+use lhrs_xtask::{find_workspace_root, run_all};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cmd = None;
-    let mut fix_allow = false;
-    let mut verbose = false;
-    let mut json = false;
-    let mut root: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "lint" if cmd.is_none() => cmd = Some("lint"),
-            "--fix-allow" => fix_allow = true,
-            "--verbose" | "-v" => verbose = true,
-            "--json" => json = true,
-            "--root" => match it.next() {
-                Some(dir) => root = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("--root needs a directory argument");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("unknown argument `{other}`");
-                eprintln!("{USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if cmd != Some("lint") {
-        eprintln!("{USAGE}");
+    if args != ["lint"] {
+        eprintln!("usage: lhrs-xtask lint");
         return ExitCode::from(2);
     }
-
-    let root = match root.or_else(|| {
-        std::env::current_dir()
-            .ok()
-            .and_then(|d| find_workspace_root(&d))
-    }) {
-        Some(r) => r,
-        None => {
-            eprintln!("could not locate the workspace root (no Cargo.toml with [workspace])");
-            return ExitCode::from(2);
-        }
+    let Some(root) = std::env::current_dir()
+        .ok()
+        .and_then(|d| find_workspace_root(&d))
+    else {
+        eprintln!("could not locate the workspace root (no Cargo.toml with [workspace])");
+        return ExitCode::from(2);
     };
-
     let findings = run_all(&root);
-    let open: Vec<_> = findings.iter().filter(|f| f.allowed.is_none()).collect();
-    let allowed = findings.len() - open.len();
-
-    if fix_allow {
-        print!("{}", fix_allow_report(&findings));
-        return ExitCode::SUCCESS;
-    }
-
-    if json {
-        // Open findings first so CI annotations lead with what fails the
-        // build; allowed residue follows for the artifact.
-        let mut ordered: Vec<_> = findings
-            .iter()
-            .filter(|f| f.allowed.is_none())
-            .cloned()
-            .collect();
-        ordered.extend(findings.iter().filter(|f| f.allowed.is_some()).cloned());
-        print!("{}", findings_to_json(&ordered));
-        return if open.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-
-    for f in &open {
+    for f in &findings {
         println!("{f}");
     }
-    if verbose {
-        for f in findings.iter().filter(|f| f.allowed.is_some()) {
-            println!("{f}");
-        }
-    }
-    println!(
-        "lhrs-lint: {} finding(s), {} justified allow(s)",
-        open.len(),
-        allowed
-    );
-    if open.is_empty() {
+    println!("lhrs-lint: {} finding(s)", findings.len());
+    if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -4,34 +4,15 @@
 //! instead this module builds a *masked* copy of the source — identical
 //! byte-for-byte layout, but with comments, string literals, and char
 //! literals blanked out — so the checks can pattern-match tokens without
-//! being fooled by `"unwrap"` inside a string or an example in a doc
-//! comment. Alongside the mask it records:
-//!
-//! - `// lhrs-lint: allow(<check>) reason="..."` escape-hatch directives,
-//! - which lines fall inside `#[cfg(test)]` modules or `#[test]` functions
-//!   (the panic-freedom audit only governs production code).
+//! being fooled by `"sleep"` inside a string or an example in a doc
+//! comment. Alongside the mask it records which lines fall inside
+//! `#[cfg(test)]` modules or `#[test]` functions.
 
-/// One parsed escape-hatch directive.
-#[derive(Debug, Clone)]
-pub struct AllowDirective {
-    /// 1-based line the comment sits on. The directive silences findings on
-    /// this line (trailing comment) and the next line (own-line comment).
-    pub line: usize,
-    /// The check name inside `allow(...)`.
-    pub check: String,
-    /// The justification string, if present and nonempty.
-    pub reason: Option<String>,
-}
-
-/// Masked view of a source file plus the side tables the checks need.
+/// Masked view of a source file plus its test regions.
 pub struct SourceModel {
-    /// Original text (for excerpting in messages).
-    pub raw: String,
-    /// Same length as `raw`; comments/strings/chars replaced by spaces
-    /// (newlines preserved so offsets and line numbers agree).
+    /// Same length as the raw text; comments/strings/chars replaced by
+    /// spaces (newlines preserved so offsets and line numbers agree).
     pub masked: String,
-    /// Escape-hatch directives found in comments.
-    pub allows: Vec<AllowDirective>,
     /// `in_test[line-1]` is true when the line is inside a `#[cfg(test)]`
     /// module or a `#[test]` function body.
     in_test: Vec<bool>,
@@ -40,15 +21,9 @@ pub struct SourceModel {
 impl SourceModel {
     /// Lex `raw` into a model.
     pub fn parse(raw: &str) -> SourceModel {
-        let (masked, comments) = mask(raw);
-        let allows = comments.iter().flat_map(parse_allow).collect();
+        let masked = mask(raw);
         let in_test = test_regions(&masked);
-        SourceModel {
-            raw: raw.to_string(),
-            masked,
-            allows,
-            in_test,
-        }
+        SourceModel { masked, in_test }
     }
 
     /// Is the (1-based) line inside test-only code?
@@ -61,277 +36,139 @@ impl SourceModel {
 
     /// 1-based line number of a byte offset.
     pub fn line_of(&self, offset: usize) -> usize {
-        self.raw[..offset.min(self.raw.len())]
-            .bytes()
-            .filter(|&b| b == b'\n')
-            .count()
-            + 1
-    }
-
-    /// The allow directive (if any) covering `line` for `check`.
-    pub fn allow_for(&self, check: &str, line: usize) -> Option<&AllowDirective> {
-        self.allows
-            .iter()
-            .find(|a| a.check == check && (a.line == line || a.line + 1 == line))
+        line_at(self.masked.as_bytes(), offset)
     }
 }
 
-/// A comment's text plus the 1-based line it starts on.
-struct Comment {
-    line: usize,
-    text: String,
-}
-
-/// Blank out comments, strings, and char literals; collect comment text.
-fn mask(raw: &str) -> (String, Vec<Comment>) {
+/// Blank out comments, strings, and char literals.
+fn mask(raw: &str) -> String {
     let bytes = raw.as_bytes();
     let mut out = bytes.to_vec();
-    let mut comments = Vec::new();
-    let mut line = 1usize;
     let mut i = 0usize;
-
-    // Blank `out[a..b]`, preserving newlines.
-    fn blank(out: &mut [u8], a: usize, b: usize) {
-        for c in out.iter_mut().take(b).skip(a) {
+    let at = |j: usize| bytes.get(j).copied().unwrap_or(0);
+    while i < bytes.len() {
+        let start = i;
+        match (at(i), at(i + 1)) {
+            (b'/', b'/') => {
+                while i < bytes.len() && at(i) != b'\n' {
+                    i += 1;
+                }
+            }
+            (b'/', b'*') => {
+                let mut depth = 0usize;
+                loop {
+                    match (at(i), at(i + 1)) {
+                        (0, _) => break,
+                        (b'/', b'*') => (depth, i) = (depth + 1, i + 2),
+                        (b'*', b'/') => {
+                            (depth, i) = (depth - 1, i + 2);
+                            if depth == 0 {
+                                break;
+                            }
+                        }
+                        _ => i += 1,
+                    }
+                }
+            }
+            (b'"', _) => i = skip_string(bytes, i + 1, 0),
+            (b'r' | b'b', _) if raw_string_hashes(bytes, i).is_some() => {
+                let hashes = raw_string_hashes(bytes, i).unwrap_or(0);
+                while at(i) != b'"' {
+                    i += 1;
+                }
+                i = skip_string(bytes, i + 1, hashes);
+            }
+            (b'b', b'\'') if !prev_is_ident(bytes, i) => i = skip_char(bytes, i + 2),
+            (b'\'', _) if is_char_literal(bytes, i) => i = skip_char(bytes, i + 1),
+            _ => {
+                i += 1;
+                continue;
+            }
+        }
+        for c in out.iter_mut().take(i).skip(start) {
             if *c != b'\n' {
                 *c = b' ';
             }
         }
     }
-
-    while i < bytes.len() {
-        let c = bytes[i];
-        match c {
-            b'\n' => {
-                line += 1;
-                i += 1;
-            }
-            b'/' if i + 1 < bytes.len() && bytes[i + 1] == b'/' => {
-                let start = i;
-                let start_line = line;
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
-                comments.push(Comment {
-                    line: start_line,
-                    text: raw[start..i].to_string(),
-                });
-                blank(&mut out, start, i);
-            }
-            b'/' if i + 1 < bytes.len() && bytes[i + 1] == b'*' => {
-                let start = i;
-                let start_line = line;
-                let mut depth = 1usize;
-                i += 2;
-                while i < bytes.len() && depth > 0 {
-                    if bytes[i] == b'\n' {
-                        line += 1;
-                        i += 1;
-                    } else if bytes[i] == b'/' && i + 1 < bytes.len() && bytes[i + 1] == b'*' {
-                        depth += 1;
-                        i += 2;
-                    } else if bytes[i] == b'*' && i + 1 < bytes.len() && bytes[i + 1] == b'/' {
-                        depth -= 1;
-                        i += 2;
-                    } else {
-                        i += 1;
-                    }
-                }
-                comments.push(Comment {
-                    line: start_line,
-                    text: raw[start..i.min(raw.len())].to_string(),
-                });
-                blank(&mut out, start, i);
-            }
-            b'"' => {
-                let start = i;
-                i += 1;
-                while i < bytes.len() {
-                    match bytes[i] {
-                        b'\\' => i += 2,
-                        b'"' => {
-                            i += 1;
-                            break;
-                        }
-                        b'\n' => {
-                            line += 1;
-                            i += 1;
-                        }
-                        _ => i += 1,
-                    }
-                }
-                blank(&mut out, start, i);
-            }
-            b'r' | b'b' if is_raw_string_start(bytes, i) => {
-                // r"..", r#".."#, br".."; skip the prefix to the quote.
-                let start = i;
-                while i < bytes.len() && bytes[i] != b'"' && bytes[i] != b'#' {
-                    i += 1;
-                }
-                let mut hashes = 0usize;
-                while i < bytes.len() && bytes[i] == b'#' {
-                    hashes += 1;
-                    i += 1;
-                }
-                i += 1; // opening quote
-                loop {
-                    if i >= bytes.len() {
-                        break;
-                    }
-                    if bytes[i] == b'\n' {
-                        line += 1;
-                        i += 1;
-                        continue;
-                    }
-                    if bytes[i] == b'"' {
-                        let mut j = i + 1;
-                        let mut seen = 0usize;
-                        while j < bytes.len() && bytes[j] == b'#' && seen < hashes {
-                            seen += 1;
-                            j += 1;
-                        }
-                        if seen == hashes {
-                            i = j;
-                            break;
-                        }
-                    }
-                    i += 1;
-                }
-                blank(&mut out, start, i);
-            }
-            b'b' if i + 1 < bytes.len() && bytes[i + 1] == b'\'' && !prev_is_ident(bytes, i) => {
-                let start = i;
-                i += 2;
-                i = skip_char_literal_body(bytes, i);
-                blank(&mut out, start, i);
-            }
-            b'\'' => {
-                // Char literal or lifetime. A lifetime is `'ident` not
-                // followed by a closing quote.
-                if is_char_literal(bytes, i) {
-                    let start = i;
-                    i += 1;
-                    i = skip_char_literal_body(bytes, i);
-                    blank(&mut out, start, i);
-                } else {
-                    i += 1;
-                }
-            }
-            _ => i += 1,
-        }
-    }
     // `out` only ever swaps ASCII bytes for spaces, so it stays valid UTF-8.
-    (String::from_utf8_lossy(&out).into_owned(), comments)
+    String::from_utf8_lossy(&out).into_owned()
 }
 
 fn prev_is_ident(bytes: &[u8], i: usize) -> bool {
     i > 0 && (bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_')
 }
 
-fn is_raw_string_start(bytes: &[u8], i: usize) -> bool {
+/// `Some(#hashes)` when `r"`, `r#"`, `br"`, … starts at `i`.
+fn raw_string_hashes(bytes: &[u8], i: usize) -> Option<usize> {
     if prev_is_ident(bytes, i) {
-        return false;
+        return None;
     }
-    let mut j = i;
-    if bytes[j] == b'b' {
-        j += 1;
-    }
-    if j >= bytes.len() || bytes[j] != b'r' {
-        return false;
+    let mut j = i + usize::from(bytes[i] == b'b');
+    if bytes.get(j) != Some(&b'r') {
+        return None;
     }
     j += 1;
-    while j < bytes.len() && bytes[j] == b'#' {
-        j += 1;
+    let hashes = bytes[j..].iter().take_while(|&&b| b == b'#').count();
+    (bytes.get(j + hashes) == Some(&b'"')).then_some(hashes)
+}
+
+/// From just past an opening quote, return the offset past the closing
+/// quote (and `hashes` trailing `#`s; escapes only count when unhashed
+/// strings are plain).
+fn skip_string(bytes: &[u8], mut i: usize, hashes: usize) -> usize {
+    let raw = hashes > 0 || (i >= 2 && bytes[i - 2] == b'r');
+    while i < bytes.len() {
+        match bytes[i] {
+            b'\\' if !raw => i += 2,
+            b'"' if bytes[i + 1..].iter().take_while(|&&b| b == b'#').count() >= hashes => {
+                return i + 1 + hashes;
+            }
+            _ => i += 1,
+        }
     }
-    j < bytes.len() && bytes[j] == b'"'
+    bytes.len()
 }
 
 /// After the opening quote of a char/byte literal: skip to past the close.
-fn skip_char_literal_body(bytes: &[u8], mut i: usize) -> usize {
-    if i < bytes.len() && bytes[i] == b'\\' {
+fn skip_char(bytes: &[u8], mut i: usize) -> usize {
+    if bytes.get(i) == Some(&b'\\') {
         i += 2;
-        // \u{...}
-        while i < bytes.len() && bytes[i] != b'\'' {
-            i += 1;
-        }
-        return (i + 1).min(bytes.len());
     }
-    // Single (possibly multi-byte) char then closing quote.
     while i < bytes.len() && bytes[i] != b'\'' {
         i += 1;
     }
     (i + 1).min(bytes.len())
 }
 
-/// `'x'` vs `'lifetime`: a char literal closes with `'` within a couple of
-/// chars (or after an escape); a lifetime never closes.
+/// `'x'` vs `'lifetime`: a char literal closes with `'` after one char (or
+/// after an escape); a lifetime never closes.
 fn is_char_literal(bytes: &[u8], i: usize) -> bool {
-    let mut j = i + 1;
-    if j >= bytes.len() {
-        return false;
+    match bytes.get(i + 1) {
+        None => false,
+        Some(b'\\') => true,
+        Some(_) => {
+            let mut j = i + 2;
+            while j < bytes.len() && (bytes[j] & 0xC0) == 0x80 {
+                j += 1;
+            }
+            bytes.get(j) == Some(&b'\'')
+        }
     }
-    if bytes[j] == b'\\' {
-        return true;
-    }
-    // Skip one UTF-8 char.
-    j += 1;
-    while j < bytes.len() && (bytes[j] & 0xC0) == 0x80 {
-        j += 1;
-    }
-    j < bytes.len() && bytes[j] == b'\''
-}
-
-/// Parse `// lhrs-lint: allow(<check>[, <check>...]) reason="..."`.
-/// A comma-separated list silences several checks on the same line with one
-/// shared justification; each listed check becomes its own directive.
-fn parse_allow(c: &Comment) -> Vec<AllowDirective> {
-    let text = c.text.trim_start_matches('/').trim();
-    let Some(rest) = text.strip_prefix("lhrs-lint:").map(str::trim) else {
-        return Vec::new();
-    };
-    let Some(rest) = rest.strip_prefix("allow(") else {
-        return Vec::new();
-    };
-    let Some(close) = rest.find(')') else {
-        return Vec::new();
-    };
-    let tail = rest[close + 1..].trim();
-    let reason = tail
-        .strip_prefix("reason=\"")
-        .and_then(|r| r.find('"').map(|end| r[..end].trim().to_string()))
-        .filter(|r| !r.is_empty());
-    rest[..close]
-        .split(',')
-        .map(str::trim)
-        .filter(|check| !check.is_empty())
-        .map(|check| AllowDirective {
-            line: c.line,
-            check: check.to_string(),
-            reason: reason.clone(),
-        })
-        .collect()
 }
 
 /// Mark lines covered by `#[cfg(test)] mod ... { }` blocks and
 /// `#[test] fn ... { }` bodies. Works on the masked text so braces inside
 /// strings cannot unbalance the match.
 fn test_regions(masked: &str) -> Vec<bool> {
-    let lines = masked.bytes().filter(|&b| b == b'\n').count() + 1;
-    let mut in_test = vec![false; lines];
     let bytes = masked.as_bytes();
+    let lines = line_at(bytes, bytes.len());
+    let mut in_test = vec![false; lines];
     for marker in ["#[cfg(test)]", "#[test]"] {
-        let mut from = 0usize;
-        while let Some(pos) = find_from(masked, marker, from) {
-            from = pos + marker.len();
-            // The attribute line itself is test-only too.
-            let start_line = line_at(bytes, pos);
-            if let Some((_open, close)) = next_brace_block(bytes, from) {
-                let end_line = line_at(bytes, close);
-                for l in in_test
-                    .iter_mut()
-                    .take(end_line.min(lines))
-                    .skip(start_line.saturating_sub(1))
-                {
+        for (pos, _) in masked.match_indices(marker) {
+            if let Some((_, close)) = next_brace_block(bytes, pos + marker.len()) {
+                let (first, last) = (line_at(bytes, pos), line_at(bytes, close));
+                for l in in_test.iter_mut().take(last).skip(first - 1) {
                     *l = true;
                 }
             }
@@ -340,37 +177,24 @@ fn test_regions(masked: &str) -> Vec<bool> {
     in_test
 }
 
-fn find_from(hay: &str, needle: &str, from: usize) -> Option<usize> {
-    hay.get(from..)?.find(needle).map(|p| p + from)
-}
-
 fn line_at(bytes: &[u8], pos: usize) -> usize {
-    bytes
-        .iter()
-        .take(pos.min(bytes.len()))
-        .filter(|&&b| b == b'\n')
-        .count()
-        + 1
+    bytes.iter().take(pos).filter(|&&b| b == b'\n').count() + 1
 }
 
-/// From `from`, find the next `{` and its matching `}` (byte offsets).
+/// From `from`, find the next `{` and its matching `}` (byte offsets). A
+/// `;` first means the item has no body.
 pub fn next_brace_block(bytes: &[u8], from: usize) -> Option<(usize, usize)> {
-    let mut i = from;
-    while i < bytes.len() && bytes[i] != b'{' {
-        // A `;` before any `{` means the item has no body (e.g. a
-        // declaration) — do not leak into the next item's braces.
-        if bytes[i] == b';' {
-            return None;
-        }
-        i += 1;
-    }
-    if i >= bytes.len() {
+    let open = from
+        + bytes
+            .get(from..)?
+            .iter()
+            .position(|&b| b == b'{' || b == b';')?;
+    if bytes[open] == b';' {
         return None;
     }
-    let open = i;
     let mut depth = 0usize;
-    while i < bytes.len() {
-        match bytes[i] {
+    for (i, &b) in bytes.iter().enumerate().skip(open) {
+        match b {
             b'{' => depth += 1,
             b'}' => {
                 depth -= 1;
@@ -380,7 +204,6 @@ pub fn next_brace_block(bytes: &[u8], from: usize) -> Option<(usize, usize)> {
             }
             _ => {}
         }
-        i += 1;
     }
     None
 }
@@ -388,32 +211,27 @@ pub fn next_brace_block(bytes: &[u8], from: usize) -> Option<(usize, usize)> {
 /// A minimal token over the masked text: identifier or single punct byte.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Tok {
-    /// Identifier/keyword with its byte offset.
+    /// Identifier/keyword (numbers lex as idents too) with its offset.
     Ident { text: String, offset: usize },
-    /// One punctuation byte with its offset.
-    Punct { ch: u8, offset: usize },
+    /// One ASCII punctuation byte.
+    Punct(u8),
 }
 
 impl Tok {
-    /// Byte offset of the token start.
-    pub fn offset(&self) -> usize {
-        match self {
-            Tok::Ident { offset, .. } | Tok::Punct { offset, .. } => *offset,
-        }
+    /// Whether this is the punctuation byte `ch`.
+    pub fn is(&self, ch: u8) -> bool {
+        *self == Tok::Punct(ch)
     }
 }
 
-/// Tokenize masked text (whitespace dropped; numbers lex as idents, which is
-/// fine for the pattern checks here).
+/// Tokenize masked text (whitespace and non-ASCII dropped).
 pub fn tokenize(masked: &str) -> Vec<Tok> {
     let bytes = masked.as_bytes();
     let mut toks = Vec::new();
     let mut i = 0usize;
     while i < bytes.len() {
         let c = bytes[i];
-        if c.is_ascii_whitespace() {
-            i += 1;
-        } else if c.is_ascii_alphanumeric() || c == b'_' {
+        if c.is_ascii_alphanumeric() || c == b'_' {
             let start = i;
             while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                 i += 1;
@@ -422,13 +240,12 @@ pub fn tokenize(masked: &str) -> Vec<Tok> {
                 text: masked[start..i].to_string(),
                 offset: start,
             });
-        } else if c < 0x80 {
-            toks.push(Tok::Punct { ch: c, offset: i });
-            i += 1;
-        } else {
-            // Non-ASCII outside strings/comments: skip.
-            i += 1;
+            continue;
         }
+        if c.is_ascii_punctuation() {
+            toks.push(Tok::Punct(c));
+        }
+        i += 1;
     }
     toks
 }

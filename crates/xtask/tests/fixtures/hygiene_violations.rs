@@ -3,8 +3,8 @@
 //! ignore and the non-test sleep are decoys.
 
 pub fn shutdown_delay() {
-    // A sleep in production code is the panic-freedom check's business (it
-    // isn't banned); the hygiene check only polices tests.
+    // A sleep in production code is not banned; the hygiene check only
+    // polices tests.
     std::thread::sleep(std::time::Duration::from_millis(1));
 }
 
