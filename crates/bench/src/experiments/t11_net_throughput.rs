@@ -8,7 +8,7 @@
 //! workload — the cost model the paper argues in messages, measured in
 //! microseconds.
 //!
-//! Four sections:
+//! Five sections:
 //!
 //! * **T11a, closed loop, seed-identical config** — the multiplexed
 //!   client keeps a bounded window of operations in flight, submitting
@@ -28,14 +28,19 @@
 //!   clients. Reported latency is against the *scheduled* arrival, so
 //!   queueing delay at saturation is visible instead of being absorbed
 //!   into a slower submission rate (closed-loop coordinated omission).
+//! * **T11e, observability overhead** — the bucket-resident window-256
+//!   point with the server host's metrics registry enabled (as `lhrs-netd`
+//!   runs) against the same point with it disabled, in alternating
+//!   trial pairs; the overhead is the median over pairs of 1 − on/off.
 //!
 //! Server processes use the consolidated hosting shape: one event-driven
 //! `NodeHost` thread carries the coordinator and every server node, the
 //! way an LH\*RS server process hosts many buckets. Co-hosted hops
 //! deliver decoded messages through the host's own queue; client-boundary
-//! messages cross the codec and an mpsc channel. On the single-core bench
-//! host, client and servers timeshare one CPU, so wide-window rates here
-//! are bounded by total per-op CPU, not by the protocol's round trips.
+//! messages cross the codec and an mpsc channel. Client and server threads
+//! share the host's cores (the notes print how many), so when there are
+//! fewer cores than threads, wide-window rates are bounded by total per-op
+//! CPU, not by the protocol's round trips.
 
 use std::collections::HashMap;
 use std::sync::mpsc::{self, Sender};
@@ -49,6 +54,7 @@ use lhrs_net::client::NetClient;
 use lhrs_net::cluster::{ClusterSpec, NodeSpec, Role};
 use lhrs_net::host::NodeHost;
 use lhrs_net::transport::{HostEvent, LoopbackNet, LoopbackTransport};
+use lhrs_obs::{Clock, Metrics};
 use lhrs_sim::LatencyModel;
 
 use crate::table::f2;
@@ -70,6 +76,13 @@ const RATES: [u64; 3] = [50_000, 200_000, 800_000];
 const OP_TIMEOUT: Duration = Duration::from_secs(30);
 /// Overall drain deadline for one open-loop run.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(60);
+/// Window of the observability-overhead section.
+const OBS_WINDOW: usize = 256;
+/// Operations per phase in the observability-overhead section: long
+/// enough that one trial is tens of milliseconds, not a scheduler tick.
+const OBS_OPS: u64 = 20_000;
+/// Alternating metrics-off/metrics-on trial pairs in that section.
+const OBS_TRIALS: usize = 11;
 
 /// The seed benchmark's config, verbatim: small buckets, so the insert
 /// phase splits its way up to ~12 buckets and split churn is measured.
@@ -109,7 +122,7 @@ struct Server {
 /// One host thread carrying *all* of `ids` — the consolidated-hosting
 /// shape: co-hosted nodes deliver to each other through their own event
 /// queue, so a hop between them costs a queue push, not a context switch.
-fn spawn_host_group(spec: &ClusterSpec, net: &LoopbackNet, ids: Vec<u32>) -> Server {
+fn spawn_host_group(spec: &ClusterSpec, net: &LoopbackNet, ids: Vec<u32>, metrics: bool) -> Server {
     let (tx, rx) = mpsc::channel();
     net.register(&ids, tx.clone());
     let spec = spec.clone();
@@ -117,8 +130,15 @@ fn spawn_host_group(spec: &ClusterSpec, net: &LoopbackNet, ids: Vec<u32>) -> Ser
     let thread_tx = tx.clone();
     let thread = std::thread::spawn(move || {
         let shared = spec.build_shared();
-        let transport = LoopbackTransport::new(net, &ids);
+        // Enabled hosts are wired as `lhrs-netd` wires them.
+        let obs = if metrics {
+            Metrics::new(Clock::wall())
+        } else {
+            Metrics::disabled()
+        };
+        let transport = LoopbackTransport::with_metrics(net, &ids, obs.clone());
         let mut host = NodeHost::new(shared.clone(), transport, thread_tx, rx);
+        host.set_metrics(obs);
         for &id in &ids {
             host.add_node(id, spec.build_node(&shared, id));
         }
@@ -128,10 +148,11 @@ fn spawn_host_group(spec: &ClusterSpec, net: &LoopbackNet, ids: Vec<u32>) -> Ser
 }
 
 /// A fresh loopback cluster — one consolidated server-host thread
-/// (coordinator + 38 server nodes) — and a synced multiplexed client on
-/// its own thread. Each phase gets its own cluster so sweep points are
-/// independent.
-fn build_cluster(cfg: Config) -> (Vec<Server>, NetClient<LoopbackTransport>) {
+/// (coordinator + 38 server nodes) whose registry is enabled iff
+/// `metrics` — and a synced multiplexed client on its own thread, without
+/// a registry as `lhrs-netcli` runs. Each phase gets its own cluster so
+/// sweep points are independent.
+fn build_cluster(cfg: Config, metrics: bool) -> (Vec<Server>, NetClient<LoopbackTransport>) {
     let nodes = (0..40u32)
         .map(|id| NodeSpec {
             id,
@@ -148,7 +169,7 @@ fn build_cluster(cfg: Config) -> (Vec<Server>, NetClient<LoopbackTransport>) {
 
     let net = LoopbackNet::new();
     let group: Vec<u32> = std::iter::once(0).chain(spec.server_ids()).collect();
-    let servers: Vec<Server> = vec![spawn_host_group(&spec, &net, group)];
+    let servers: Vec<Server> = vec![spawn_host_group(&spec, &net, group, metrics)];
 
     let (tx, rx) = mpsc::channel();
     net.register(&[1], tx.clone());
@@ -182,14 +203,20 @@ fn stats(latencies: &mut [u64], wall: Duration) -> (f64, u64, u64) {
     (n as f64 / wall.as_secs_f64(), pct(50), pct(99))
 }
 
-/// One closed-loop sweep point: insert then look up `OPS` keys through a
-/// `window`-wide pipeline on a fresh cluster. Returns
-/// `((rate, p50, p99), (rate, p50, p99))` for insert and lookup.
+/// One closed-loop sweep point: insert then look up `ops` keys through a
+/// `window`-wide pipeline on a fresh cluster whose registries are enabled
+/// iff `metrics`. Returns `((rate, p50, p99), (rate, p50, p99))` for
+/// insert and lookup.
 #[allow(clippy::type_complexity)]
-fn closed_loop_phase(cfg: Config, window: usize) -> ((f64, u64, u64), (f64, u64, u64)) {
-    let (servers, mut client) = build_cluster(cfg);
+fn closed_loop_phase(
+    cfg: Config,
+    window: usize,
+    ops: u64,
+    metrics: bool,
+) -> ((f64, u64, u64), (f64, u64, u64)) {
+    let (servers, mut client) = build_cluster(cfg, metrics);
 
-    let inserts: Vec<ClientOp> = (1..=OPS)
+    let inserts: Vec<ClientOp> = (1..=ops)
         .map(|key| ClientOp::Insert {
             key,
             payload: payload_for(key),
@@ -212,7 +239,7 @@ fn closed_loop_phase(cfg: Config, window: usize) -> ((f64, u64, u64), (f64, u64,
         })
         .collect();
 
-    let lookups: Vec<ClientOp> = (1..=OPS).map(|key| ClientOp::Lookup { key }).collect();
+    let lookups: Vec<ClientOp> = (1..=ops).map(|key| ClientOp::Lookup { key }).collect();
     let t0 = Instant::now();
     let results = client.run_window(lookups, window);
     let lookup_wall = t0.elapsed();
@@ -265,7 +292,7 @@ fn multi_client_phase(clients: usize, window: usize) -> (f64, u64, u64) {
 
     let net = LoopbackNet::new();
     let group: Vec<u32> = std::iter::once(0).chain(spec.server_ids()).collect();
-    let servers: Vec<Server> = vec![spawn_host_group(&spec, &net, group)];
+    let servers: Vec<Server> = vec![spawn_host_group(&spec, &net, group, false)];
 
     let barrier = std::sync::Arc::new(std::sync::Barrier::new(clients));
     let workers: Vec<JoinHandle<(Vec<u64>, Duration)>> = client_ids
@@ -334,7 +361,7 @@ fn multi_client_phase(clients: usize, window: usize) -> (f64, u64, u64) {
 /// schedule, never waiting for completions, and measure each op against
 /// its *scheduled* arrival. Returns `(achieved ops/s, p50, p99)`.
 fn open_loop_phase(rate: u64) -> (f64, u64, u64) {
-    let (servers, mut client) = build_cluster(resident_config());
+    let (servers, mut client) = build_cluster(resident_config(), false);
 
     let interval = Duration::from_nanos(1_000_000_000 / rate.max(1));
     let mut arrivals: HashMap<u64, Instant> = HashMap::with_capacity(OPEN_OPS as usize);
@@ -406,7 +433,7 @@ fn closed_sweep(title: &str, cfg: Config, sim_insert: f64, sim_lookup: f64) -> (
     let mut w1_insert = 0.0f64;
     let mut best_insert = 0.0f64;
     for window in WINDOWS {
-        let (ins, look) = closed_loop_phase(cfg.clone(), window);
+        let (ins, look) = closed_loop_phase(cfg.clone(), window, OPS, false);
         if window == 1 {
             w1_insert = ins.0;
         }
@@ -431,6 +458,78 @@ fn closed_sweep(title: &str, cfg: Config, sim_insert: f64, sim_lookup: f64) -> (
         ]);
     }
     (table, w1_insert, best_insert)
+}
+
+/// Cores this process may run on, for the notes.
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_unstable_by(f64::total_cmp);
+    xs.get(xs.len() / 2).copied().unwrap_or(0.0)
+}
+
+/// T11e: the bucket-resident window-256 point with the server registry
+/// off and on, in `OBS_TRIALS` alternating pairs. Each pair gives one
+/// overhead reading, `1 - on/off`; the medians over pairs are robust to
+/// the drift between trials that a ratio of two arm medians is not.
+fn obs_overhead() -> Table {
+    let mut table = Table::new(
+        format!(
+            "T11e: observability overhead at window {OBS_WINDOW} (bucket-resident config, {OBS_OPS} ops per phase)"
+        ),
+        &[
+            "phase",
+            "pairs",
+            "off ops/sec",
+            "on ops/sec",
+            "overhead %",
+            "p25 %",
+            "p75 %",
+        ],
+    );
+    // rates[phase][metrics]: phase 0 = insert, 1 = lookup.
+    let mut rates: [[Vec<f64>; 2]; 2] = Default::default();
+    for _ in 0..OBS_TRIALS {
+        for metrics in [false, true] {
+            let (ins, look) = closed_loop_phase(resident_config(), OBS_WINDOW, OBS_OPS, metrics);
+            rates[0][usize::from(metrics)].push(ins.0);
+            rates[1][usize::from(metrics)].push(look.0);
+        }
+    }
+    let mut medians = [0.0f64; 2];
+    for (phase, name) in ["insert", "lookup"].into_iter().enumerate() {
+        let [off, on] = &mut rates[phase];
+        let mut overhead: Vec<f64> = off
+            .iter()
+            .zip(on.iter())
+            .map(|(off, on)| 100.0 * (1.0 - on / off.max(1.0)))
+            .collect();
+        medians[phase] = median(&mut overhead);
+        let quartile = |q: usize| overhead[(overhead.len() - 1) * q / 4];
+        table.row(vec![
+            name.into(),
+            overhead.len().to_string(),
+            f2(median(off)),
+            f2(median(on)),
+            format!("{:.1}", medians[phase]),
+            format!("{:.1}", quartile(1)),
+            format!("{:.1}", quartile(3)),
+        ]);
+    }
+    table.note(format!(
+        "\"on\" enables a wall-clock registry in the server host and its transport, \
+         as lhrs-netd runs; \"off\" is the disabled handle. The client has no registry \
+         in either arm, as lhrs-netcli runs. Each trial is a fresh cluster, the arms \
+         alternate, and {} cores were available. Metrics on cost {:.1}% of insert and \
+         {:.1}% of lookup throughput (median over pairs of 1 - on/off, with its quartiles; \
+         a negative figure is run-to-run noise). The gate for always-on metrics is 5%.",
+        cores(),
+        medians[0],
+        medians[1],
+    ));
+    table
 }
 
 /// Exact simulator message counts per op for `cfg`'s workload.
@@ -495,12 +594,14 @@ pub fn run() -> Vec<Table> {
     resident.note(format!(
         "the pipeline's own ceiling, split cost excluded: best insert throughput is \
          {:.1}× this run's window-1 rate and {:.1}× the seed's ~39.0k synchronous rate. \
-         On this single-core bench host every thread timeshares one CPU, so the widest \
-         windows are bound by total per-op processing (~{:.1}µs/insert across client, \
-         data, and parity work; an insert costs {} messages to a lookup's {}), not by \
-         round-trip latency — the one-op-in-flight wall (ops/sec ≈ 1e6/p50) is gone",
+         The client thread and the server-host thread ran on {} available core(s), so \
+         the widest windows are bound by per-op processing (~{:.1}µs of wall per insert \
+         across client, data, and parity work; an insert costs {} messages to a \
+         lookup's {}), not by round-trip latency — the one-op-in-flight wall \
+         (ops/sec ≈ 1e6/p50) is gone",
         resident_best / resident_w1.max(1.0),
         resident_best / 39_000.0,
+        cores(),
         1e6 / resident_best.max(1.0),
         res_sim_insert.round() as u64,
         res_sim_lookup.round() as u64,
@@ -531,15 +632,16 @@ pub fn run() -> Vec<Table> {
             format!("{:.1}x", agg / resident_w1.max(1.0)),
         ]);
     }
-    multi.note(
+    multi.note(format!(
         "independent client threads, each with its own connection, request-id space, and \
          pipelined window, inserting disjoint key ranges into one shared cluster; the \
          aggregate rate is total ops over the slowest client's wall. This is the regime \
          the paper's performance claims assume — many clients overlapping requests \
-         against many buckets. On one core, extra client threads add scheduling overhead \
-         rather than parallelism, so the single-client wide-window rows are the honest \
-         sustained ceiling here.",
-    );
+         against many buckets. One server-host thread serves every client, and {} \
+         core(s) were available: once the client threads and the host outnumber the \
+         cores, extra clients add scheduling overhead rather than parallelism.",
+        cores(),
+    ));
 
     // --- T11d: open loop, fixed arrival schedules ---
     let mut open = Table::new(
@@ -562,5 +664,5 @@ pub fn run() -> Vec<Table> {
          saturation shows up here instead of vanishing into a slower submission rate \
          (coordinated omission). Achieved < offered means the cluster saturated.",
     );
-    vec![seeded, resident, multi, open]
+    vec![seeded, resident, multi, open, obs_overhead()]
 }

@@ -259,9 +259,10 @@ pub struct FileWal {
     appended: u64,
     op_bytes: u64,
     tail: TailState,
-    dirty: bool,
     /// Appends buffered since the last durability point (fsync, snapshot,
-    /// or reset) — the group-commit batch the next `sync` covers.
+    /// or reset) — the group-commit batch the next `sync` covers. Always 0
+    /// under `FsyncPolicy::Always` (each append is its own fsync) and
+    /// `FsyncPolicy::Never` (no append is ever fsynced).
     unsynced: u64,
 }
 
@@ -413,7 +414,6 @@ impl FileWal {
             appended,
             op_bytes,
             tail,
-            dirty: false,
             unsynced: 0,
         })
     }
@@ -470,10 +470,9 @@ impl BucketStore for FileWal {
             FsyncPolicy::Always => {
                 self.seg.sync_data().map_err(|e| io_err("fsync", &e))?;
             }
-            FsyncPolicy::Batch | FsyncPolicy::Never => {
-                self.dirty = true;
-                self.unsynced += 1;
-            }
+            FsyncPolicy::Batch => self.unsynced += 1,
+            // Nothing is ever made durable, so there is no batch to commit.
+            FsyncPolicy::Never => {}
         }
         if self.seg_len >= self.segment_cap {
             self.rotate()?;
@@ -508,7 +507,6 @@ impl BucketStore for FileWal {
         self.appended = 0;
         self.op_bytes = 0;
         self.tail = TailState::Clean;
-        self.dirty = false;
         self.unsynced = 0;
         Ok(())
     }
@@ -567,7 +565,6 @@ impl BucketStore for FileWal {
         self.appended = 0;
         self.op_bytes = 0;
         self.tail = TailState::Clean;
-        self.dirty = false;
         self.unsynced = 0;
         Ok(())
     }
@@ -581,9 +578,9 @@ impl BucketStore for FileWal {
     }
 
     fn sync(&mut self) -> Result<(), StoreError> {
-        if self.dirty {
+        if self.unsynced > 0 {
             self.seg.sync_data().map_err(|e| io_err("sync", &e))?;
-            self.dirty = false;
+            probe::record("segment_sync");
             self.unsynced = 0;
         }
         Ok(())
@@ -831,6 +828,37 @@ mod tests {
                 .is_some_and(|rest| rest.contains(&"sync_dir")),
             "the fresh segment after a snapshot must be sync_dir'd: {ev:?}"
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn group_commit_syncs_once_per_dirty_batch_and_never_under_never() {
+        let syncs = |ev: &[&str]| ev.iter().filter(|e| **e == "segment_sync").count();
+
+        let dir = temp_dir("never-sync");
+        let mut w = FileWal::open(&dir, FsyncPolicy::Never).unwrap();
+        let _ = probe::take();
+        for _ in 0..3 {
+            w.append(b"op").unwrap();
+            w.append(b"op").unwrap();
+            assert_eq!(w.unsynced_ops(), 0, "Never has no batch to commit");
+            w.sync().unwrap();
+        }
+        assert_eq!(syncs(&probe::take()), 0, "Never must not fsync");
+        fs::remove_dir_all(&dir).unwrap();
+
+        let dir = temp_dir("batch-sync");
+        let mut w = FileWal::open(&dir, FsyncPolicy::Batch).unwrap();
+        let _ = probe::take();
+        for _ in 0..3 {
+            w.append(b"op").unwrap();
+            w.append(b"op").unwrap();
+            assert_eq!(w.unsynced_ops(), 2);
+            w.sync().unwrap();
+            assert_eq!(w.unsynced_ops(), 0);
+            w.sync().unwrap(); // clean: nothing to commit
+        }
+        assert_eq!(syncs(&probe::take()), 3, "one fsync per dirty batch");
         fs::remove_dir_all(&dir).unwrap();
     }
 
